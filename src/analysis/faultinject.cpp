@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "core/tree.hpp"
@@ -10,17 +11,6 @@
 namespace tileflow {
 
 namespace {
-
-/** splitmix64 finalizer: spreads the key bits before the threshold
- *  comparison so structurally-similar trees fault independently. */
-uint64_t
-mix64(uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 double
 clamp01(double v)
@@ -43,21 +33,10 @@ FaultInjector::FaultInjector(double throw_fraction, double nan_fraction,
 std::shared_ptr<const FaultInjector>
 FaultInjector::fromEnv()
 {
-    const char* env = std::getenv("TILEFLOW_FAULT_INJECT");
-    if (!env || !*env)
-        return nullptr;
     double throw_fraction = 0.0;
     double nan_fraction = 0.0;
     uint64_t seed = 1;
-    for (const std::string& piece : split(env, ',')) {
-        const std::vector<std::string> kv = split(trim(piece), '=');
-        if (kv.size() != 2) {
-            warn("TILEFLOW_FAULT_INJECT: ignoring malformed piece '",
-                 piece, "'");
-            continue;
-        }
-        const std::string key = trim(kv[0]);
-        const std::string value = trim(kv[1]);
+    for (const auto& [key, value] : envKeyValues("TILEFLOW_FAULT_INJECT")) {
         if (key == "throw") {
             throw_fraction = std::strtod(value.c_str(), nullptr);
         } else if (key == "nan") {
@@ -77,21 +56,15 @@ FaultInjector::fromEnv()
 uint64_t
 FaultInjector::treeKey(const AnalysisTree& tree)
 {
-    const std::string dump = tree.str();
-    uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : dump) {
-        hash ^= uint64_t(uint8_t(c));
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
+    return fnvBytes(tree.str());
 }
 
 FaultKind
 FaultInjector::decideKey(uint64_t key) const
 {
-    // 53-bit mantissa draw in [0, 1), pure in (seed, key).
-    const uint64_t bits = mix64(key ^ mix64(seed_));
-    const double u = double(bits >> 11) * 0x1.0p-53;
+    // Structurally-similar trees fault independently: the draw
+    // spreads the key bits before the threshold comparison.
+    const double u = seededDraw(seed_, key);
     if (u < throwFraction_)
         return FaultKind::Throw;
     if (u < throwFraction_ + nanFraction_)

@@ -19,26 +19,20 @@
  * either way, so incremental evaluation is bit-identical to full
  * evaluation (the tier-1 property test asserts this per fuzz family).
  *
- * Counters (MetricsRegistry): analysis.subtree_lookups / _hits /
- * _misses / _inserts / _evictions. Each evaluated Tile node performs
- * exactly one lookup, so hits + misses == lookups always holds.
+ * SubtreeCache is a ShardedCache (common/shardedcache.hpp) with
+ * "analysis.subtree_*" registry counters. Each evaluated Tile node
+ * performs exactly one lookup, so hits + misses == lookups always
+ * holds.
  */
 
 #ifndef TILEFLOW_ANALYSIS_SUBTREECACHE_HPP
 #define TILEFLOW_ANALYSIS_SUBTREECACHE_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "analysis/datamovement.hpp"
-#include "common/membudget.hpp"
-#include "common/telemetry.hpp"
-#include "core/tree.hpp"
+#include "common/hash.hpp"
+#include "common/shardedcache.hpp"
 
 namespace tileflow {
 
@@ -81,121 +75,38 @@ struct SubtreePartial
     double computeCycles = 0.0;
 };
 
-class SubtreeCache
+struct SubtreeCacheTraits
 {
-  public:
-    /**
-     * @param shards              independently-locked map shards
-     * @param maxEntriesPerShard  FIFO-evict beyond this many entries
-     *                            per shard; 0 = unbounded
-     * @param maxBytesPerShard    FIFO-evict beyond this many
-     *                            (approximate) entry bytes per shard;
-     *                            0 = unbounded. Both caps are halved
-     *                            by soft memory pressure (shrink()).
-     */
-    explicit SubtreeCache(size_t shards = 16,
-                          size_t maxEntriesPerShard = 4096,
-                          size_t maxBytesPerShard = 0);
+    using Key = SubtreeKey;
+    using Value = SubtreePartial;
 
-    ~SubtreeCache();
-
-    SubtreeCache(const SubtreeCache&) = delete;
-    SubtreeCache& operator=(const SubtreeCache&) = delete;
-
-    /** Find a memoized partial; counts a lookup and a hit or miss. */
-    std::optional<SubtreePartial> lookup(const SubtreeKey& key);
-
-    /** Memoize a partial (last writer wins; may FIFO-evict). */
-    void insert(const SubtreeKey& key, const SubtreePartial& value);
-
-    /** Number of distinct subtrees memoized. */
-    size_t size() const;
-
-    /** Approximate bytes held — exact against this cache's own
-     *  insert/eviction accounting (the `analysis.subtree_bytes`
-     *  gauge); see entryBytes(). */
-    uint64_t bytes() const;
-
-    /** Size-pure per-entry byte estimate (key counted twice: map
-     *  entry + FIFO copy), so insert credits == eviction debits and
-     *  the gauge identity bytes == inserted − evicted is exact. */
-    static size_t entryBytes(const SubtreeKey& key,
-                             const SubtreePartial& value);
-
-    /**
-     * Memory-pressure hook (registered with MemoryBudget at
-     * construction). Soft halves caps and evicts down; Hard drops
-     * everything. Instance hit/miss counters are preserved (unlike
-     * clear()). try_lock per shard — contended shards are skipped.
-     * Returns approximate bytes freed.
-     */
-    uint64_t shrink(MemPressure level);
-
-    /** shrink(Hard): drop every entry, keep hit/miss counters. */
-    uint64_t evictAll();
-
-    /** Drop every entry (counted as evictions). */
-    void clear();
-
-    /** Instance counters since construction or the last clear(). */
-    uint64_t hits() const { return hits_.load(); }
-    uint64_t misses() const { return misses_.load(); }
-    uint64_t evictions() const { return evictions_.load(); }
-
-  private:
-    struct KeyHash
+    static uint64_t
+    hash(const SubtreeKey& key)
     {
-        size_t operator()(const SubtreeKey& key) const
-        {
-            // hash already mixes the whole subtree; fold in context.
-            return size_t(key.hash ^ (key.context * 0x9e3779b97f4a7c15ULL));
-        }
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<SubtreeKey, SubtreePartial, KeyHash> map;
-        std::deque<SubtreeKey> order; ///< insertion order (FIFO cap)
-        size_t bytes = 0; ///< sum of entryBytes() over map (under mutex)
-    };
-
-    Shard& shardFor(const SubtreeKey& key)
-    {
-        return shards_[KeyHash{}(key) % shards_.size()];
+        // hash already mixes the whole subtree; fold in context.
+        return key.hash ^ (key.context * kSplitMixGamma);
     }
 
-    size_t evictOneLocked(Shard& shard);
-    void creditEvictions(uint64_t entries, uint64_t bytes);
+    /** Key counted twice (map entry + FIFO copy), plus the partial's
+     *  per-child vectors. */
+    static size_t
+    entryBytes(const SubtreeKey&, const SubtreePartial& value)
+    {
+        return 2 * sizeof(SubtreeKey) + sizeof(SubtreePartial) +
+               (value.dm.childFill.size() + value.dm.childDrain.size()) *
+                   sizeof(double) +
+               value.dm.childLevels.size() * sizeof(int) +
+               kCacheEntryOverheadBytes;
+    }
 
-    std::vector<Shard> shards_;
-    std::atomic<size_t> maxEntriesPerShard_;
-    std::atomic<size_t> maxBytesPerShard_;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> evictions_{0};
-
-    Counter& metricLookups_ =
-        MetricsRegistry::global().counter("analysis.subtree_lookups");
-    Counter& metricHits_ =
-        MetricsRegistry::global().counter("analysis.subtree_hits");
-    Counter& metricMisses_ =
-        MetricsRegistry::global().counter("analysis.subtree_misses");
-    Counter& metricInserts_ =
-        MetricsRegistry::global().counter("analysis.subtree_inserts");
-    Counter& metricEvictions_ =
-        MetricsRegistry::global().counter("analysis.subtree_evictions");
-    Counter& metricBytesInserted_ = MetricsRegistry::global().counter(
-        "analysis.subtree_bytes_inserted");
-    Counter& metricBytesEvicted_ = MetricsRegistry::global().counter(
-        "analysis.subtree_bytes_evicted");
-    Gauge& metricBytes_ =
-        MetricsRegistry::global().gauge("analysis.subtree_bytes");
-
-    // Last member: destroyed first, so no shrink callback can arrive
-    // once the destructor body runs.
-    MemReclaimRegistration budgetReg_;
+    static constexpr const char* kMetricPrefix = "analysis.subtree_";
+    static constexpr const char* kBudgetName = "subtreecache";
+    static constexpr size_t kDefaultEntryCap = 4096;
+    static constexpr const char* kTraceHits = nullptr;
+    static constexpr const char* kTraceMisses = nullptr;
 };
+
+using SubtreeCache = ShardedCache<SubtreeCacheTraits>;
 
 } // namespace tileflow
 

@@ -12,6 +12,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "common/telemetry.hpp"
@@ -19,16 +20,6 @@
 namespace tileflow {
 
 namespace {
-
-/** splitmix64 finalizer (same mixer as FaultInjector's). */
-uint64_t
-mix64(uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /** Parse "<MB>" from an environment variable; 0 when unset/invalid. */
 uint64_t
@@ -343,20 +334,9 @@ AllocFaultInjector::AllocFaultInjector(double rate, uint64_t seed)
 std::shared_ptr<const AllocFaultInjector>
 AllocFaultInjector::fromEnv()
 {
-    const char* env = std::getenv("TILEFLOW_ALLOC_FAULT");
-    if (!env || !*env)
-        return nullptr;
     double rate = 0.0;
     uint64_t seed = 1;
-    for (const std::string& piece : split(env, ',')) {
-        const std::vector<std::string> kv = split(trim(piece), '=');
-        if (kv.size() != 2) {
-            warn("TILEFLOW_ALLOC_FAULT: ignoring malformed piece '",
-                 piece, "'");
-            continue;
-        }
-        const std::string key = trim(kv[0]);
-        const std::string value = trim(kv[1]);
+    for (const auto& [key, value] : envKeyValues("TILEFLOW_ALLOC_FAULT")) {
         if (key == "rate") {
             rate = std::strtod(value.c_str(), nullptr);
         } else if (key == "seed") {
@@ -380,21 +360,13 @@ AllocFaultInjector::env()
 bool
 AllocFaultInjector::decideKey(uint64_t key) const
 {
-    // 53-bit mantissa draw in [0, 1), pure in (seed, key).
-    const uint64_t bits = mix64(key ^ mix64(seed_));
-    const double u = double(bits >> 11) * 0x1.0p-53;
-    return u < rate_;
+    return seededDraw(seed_, key) < rate_;
 }
 
 uint64_t
 AllocFaultInjector::textKey(const std::string& text)
 {
-    uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        hash ^= uint64_t(uint8_t(c));
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
+    return fnvBytes(text);
 }
 
 } // namespace tileflow

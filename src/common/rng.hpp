@@ -14,6 +14,8 @@
 #include <random>
 #include <vector>
 
+#include "common/hash.hpp"
+
 namespace tileflow {
 
 /** Seedable RNG wrapper around std::mt19937_64 with convenience draws. */
@@ -76,12 +78,8 @@ class Rng
 inline uint64_t
 mixSeed(uint64_t seed, uint64_t stream, uint64_t index)
 {
-    uint64_t z = seed;
-    z += 0x9e3779b97f4a7c15ULL * (stream + 1);
-    z += 0xbf58476d1ce4e5b9ULL * (index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitmix64Finalize(seed + kSplitMixGamma * (stream + 1) +
+                              0xbf58476d1ce4e5b9ULL * (index + 1));
 }
 
 } // namespace tileflow

@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
+
+#include "common/logging.hpp"
 
 namespace tileflow {
 
@@ -30,6 +33,24 @@ split(const std::string& s, char delim)
         out.push_back("");
     if (s.empty())
         out.push_back("");
+    return out;
+}
+
+std::vector<std::pair<std::string, std::string>>
+envKeyValues(const char* name)
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    const char* env = std::getenv(name);
+    if (!env || !*env)
+        return out;
+    for (const std::string& piece : split(env, ',')) {
+        const std::vector<std::string> kv = split(trim(piece), '=');
+        if (kv.size() != 2) {
+            warn(name, ": ignoring malformed piece '", piece, "'");
+            continue;
+        }
+        out.emplace_back(trim(kv[0]), trim(kv[1]));
+    }
     return out;
 }
 

@@ -7,6 +7,7 @@
 #define TILEFLOW_COMMON_STRINGS_HPP
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tileflow {
@@ -23,6 +24,11 @@ std::string join(const std::vector<std::string>& parts,
 
 /** True if s starts with the given prefix. */
 bool startsWith(const std::string& s, const std::string& prefix);
+
+/** Parse environment variable `name` as trimmed "key=value,..." pairs
+ *  (empty when unset); a piece without one '=' is warned and skipped. */
+std::vector<std::pair<std::string, std::string>>
+envKeyValues(const char* name);
 
 /** Format a double with fixed precision (report printing helper). */
 std::string fmt(double value, int precision = 2);

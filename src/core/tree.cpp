@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace tileflow {
@@ -132,43 +133,28 @@ equalTrees(const AnalysisTree& a, const AnalysisTree& b)
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/** Fold one 64-bit value into an FNV-1a hash, byte by byte (the same
- *  scheme EvalCache::hashChoices uses, so hash quality is known). */
-uint64_t
-fnvMix(uint64_t hash, uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= value & 0xffULL;
-        hash *= 0x100000001b3ULL;
-        value >>= 8;
-    }
-    return hash;
-}
-
 uint64_t
 hashSubtreeInto(uint64_t hash, const Node* node)
 {
-    hash = fnvMix(hash, uint64_t(node->type()));
+    hash = fnvWord(hash, uint64_t(node->type()));
     switch (node->type()) {
       case NodeType::Tile:
-        hash = fnvMix(hash, uint64_t(node->memLevel()));
-        hash = fnvMix(hash, uint64_t(node->loops().size()));
+        hash = fnvWord(hash, uint64_t(node->memLevel()));
+        hash = fnvWord(hash, uint64_t(node->loops().size()));
         for (const Loop& loop : node->loops()) {
-            hash = fnvMix(hash, uint64_t(loop.dim));
-            hash = fnvMix(hash, uint64_t(loop.kind));
-            hash = fnvMix(hash, uint64_t(loop.extent));
+            hash = fnvWord(hash, uint64_t(loop.dim));
+            hash = fnvWord(hash, uint64_t(loop.kind));
+            hash = fnvWord(hash, uint64_t(loop.extent));
         }
         break;
       case NodeType::Scope:
-        hash = fnvMix(hash, uint64_t(node->scopeKind()));
+        hash = fnvWord(hash, uint64_t(node->scopeKind()));
         break;
       case NodeType::Op:
-        hash = fnvMix(hash, uint64_t(int64_t(node->op())));
+        hash = fnvWord(hash, uint64_t(int64_t(node->op())));
         break;
     }
-    hash = fnvMix(hash, uint64_t(node->numChildren()));
+    hash = fnvWord(hash, uint64_t(node->numChildren()));
     for (const auto& child : node->children())
         hash = hashSubtreeInto(hash, child.get());
     return hash;
@@ -195,14 +181,14 @@ contextSignature(const Node* node)
     uint64_t hash = kFnvOffset;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
         const Node* ancestor = *it;
-        hash = fnvMix(hash, uint64_t(ancestor->type()));
+        hash = fnvWord(hash, uint64_t(ancestor->type()));
         if (ancestor->isTile()) {
-            hash = fnvMix(hash, uint64_t(ancestor->memLevel()));
-            hash = fnvMix(hash, uint64_t(ancestor->loops().size()));
+            hash = fnvWord(hash, uint64_t(ancestor->memLevel()));
+            hash = fnvWord(hash, uint64_t(ancestor->loops().size()));
             for (const Loop& loop : ancestor->loops()) {
-                hash = fnvMix(hash, uint64_t(loop.dim));
-                hash = fnvMix(hash, uint64_t(loop.kind));
-                hash = fnvMix(hash, uint64_t(loop.extent));
+                hash = fnvWord(hash, uint64_t(loop.dim));
+                hash = fnvWord(hash, uint64_t(loop.kind));
+                hash = fnvWord(hash, uint64_t(loop.extent));
             }
         }
         // Scope kinds are deliberately NOT hashed — see tree.hpp.

@@ -6,9 +6,8 @@
 #include <cstring>
 #include <fstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
+#include "common/durable.hpp"
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace tileflow {
@@ -20,92 +19,41 @@ constexpr int kVersion = 1;
 
 std::atomic<int> g_crash_countdown{-1};
 
-uint64_t
-fnv1aBytes(const char* data, size_t n, uint64_t hash = kCkptHashInit)
-{
-    for (size_t i = 0; i < n; ++i) {
-        hash ^= uint64_t(uint8_t(data[i]));
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
-std::string
-hex64(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  (unsigned long long)v);
-    return buf;
-}
-
 } // namespace
-
-uint64_t
-ckptHashBytes(const char* data, size_t n, uint64_t hash)
-{
-    return fnv1aBytes(data, n, hash);
-}
-
-std::string
-ckptHex64(uint64_t v)
-{
-    return hex64(v);
-}
-
-bool
-ckptFsyncFile(std::FILE* f)
-{
-    if (std::fflush(f) != 0)
-        return false;
-    return ::fsync(fileno(f)) == 0;
-}
-
-bool
-ckptFsyncParentDir(const std::string& path)
-{
-    const size_t slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd < 0)
-        return false;
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
-}
-
-uint64_t
-ckptHash(uint64_t hash, uint64_t word)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= word & 0xffULL;
-        hash *= 0x100000001b3ULL;
-        word >>= 8;
-    }
-    return hash;
-}
-
-uint64_t
-ckptHashDouble(uint64_t hash, double value)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return ckptHash(hash, bits);
-}
 
 uint64_t
 ckptHashSpace(uint64_t hash, const MappingSpace& space)
 {
-    hash = ckptHash(hash, space.numKnobs());
+    hash = fnvWord(hash, space.numKnobs());
     for (const Knob& knob : space.knobs()) {
-        hash = fnv1aBytes(knob.name.data(), knob.name.size(), hash);
-        hash = ckptHash(hash, knob.structural ? 1 : 0);
-        hash = ckptHash(hash, knob.choices.size());
+        hash = fnvBytes(knob.name, hash);
+        hash = fnvWord(hash, knob.structural ? 1 : 0);
+        hash = fnvWord(hash, knob.choices.size());
         for (int64_t choice : knob.choices)
-            hash = ckptHash(hash, uint64_t(choice));
+            hash = fnvWord(hash, uint64_t(choice));
     }
     return hash;
+}
+
+void
+ckptCreditRestoredMetrics(int evaluations, const FailureHistogram& failures,
+                          uint64_t boundPruned, uint64_t cacheHits,
+                          uint64_t cacheMisses, bool incremental)
+{
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    metrics.counter("mapper.evaluations").add(uint64_t(evaluations));
+    metrics.counter("mapper.failed_evaluations")
+        .add(histogramTotal(failures));
+    // The evaluator-side counter the resumed portion would have bumped.
+    metrics
+        .counter(incremental ? "analysis.incremental_evals"
+                             : "analysis.evaluations")
+        .add(uint64_t(evaluations));
+    metrics.counter("evalcache.hits").add(cacheHits);
+    metrics.counter("evalcache.misses").add(cacheMisses);
+    metrics.counter("mapper.bound_pruned").add(boundPruned);
+    metrics.counter("mapper.candidates")
+        .add(uint64_t(evaluations) + boundPruned);
 }
 
 void
@@ -234,7 +182,7 @@ CkptWriter::writeTo(const std::string& path) const
 {
     std::string payload = buf_;
     payload += concat("\nend ",
-                      hex64(fnv1aBytes(buf_.data(), buf_.size())), "\n");
+                      hex64(fnvBytes(buf_)), "\n");
 
     bool crash = false;
     const int countdown = g_crash_countdown.load();
@@ -245,28 +193,20 @@ CkptWriter::writeTo(const std::string& path) const
     }
 
     const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("checkpoint: cannot open '", tmp, "' for writing");
+    if (crash) {
+        // Simulated crash mid-payload: a truncated tmp, no rename, so
+        // the previous checkpoint stays intact.
+        if (std::FILE* f = std::fopen(tmp.c_str(), "wb")) {
+            std::fwrite(payload.data(), 1, payload.size() / 2, f);
+            std::fclose(f);
+        }
         return false;
     }
-    const size_t to_write = crash ? payload.size() / 2 : payload.size();
-    const size_t written = std::fwrite(payload.data(), 1, to_write, f);
-    // fsync BEFORE the rename: rename-without-fsync can publish the
-    // new name pointing at an empty/partial file after power loss,
-    // destroying the previous good checkpoint the atomic-replace
-    // discipline exists to protect.
-    const bool synced = !crash && ckptFsyncFile(f);
-    std::fclose(f);
-    if (crash || written != payload.size() || !synced)
-        return false; // simulated or real crash: previous file intact
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("checkpoint: cannot rename '", tmp, "' to '", path, "'");
+    std::string error;
+    if (!replaceFileDurably(path, tmp, payload, &error)) {
+        warn("checkpoint: ", error);
         return false;
     }
-    // ... and fsync the directory so the rename itself is durable.
-    if (!ckptFsyncParentDir(path))
-        warn("checkpoint: cannot fsync directory of '", path, "'");
     return true;
 }
 
@@ -289,7 +229,7 @@ CkptReader::open(const std::string& path, const std::string& kind,
     const std::string body = data.substr(0, end_pos);
     const uint64_t stored =
         std::strtoull(data.c_str() + end_pos + 5, nullptr, 16);
-    if (fnv1aBytes(body.data(), body.size()) != stored) {
+    if (fnvBytes(body) != stored) {
         warn("checkpoint '", path, "': checksum mismatch; ignoring");
         return std::nullopt;
     }

@@ -33,7 +33,6 @@
 #define TILEFLOW_MAPPER_CHECKPOINT_HPP
 
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 
@@ -42,26 +41,6 @@
 #include "mapper/guard.hpp"
 
 namespace tileflow {
-
-/** FNV-1a accumulation helpers for config hashing. */
-constexpr uint64_t kCkptHashInit = 0xcbf29ce484222325ULL;
-uint64_t ckptHash(uint64_t hash, uint64_t word);
-uint64_t ckptHashDouble(uint64_t hash, double value);
-
-/** FNV-1a over raw bytes — the checksum every durable on-disk record
- *  in the repo uses (checkpoints here, the serve job journal). */
-uint64_t ckptHashBytes(const char* data, size_t n,
-                       uint64_t hash = kCkptHashInit);
-
-/** 16-digit lowercase hex of `v` (checksum / length rendering). */
-std::string ckptHex64(uint64_t v);
-
-/** fsync an open stdio stream (flush + fsync(fd)); false on failure. */
-bool ckptFsyncFile(std::FILE* f);
-
-/** fsync the directory containing `path`, making a just-renamed or
- *  just-created entry durable; false on failure. */
-bool ckptFsyncParentDir(const std::string& path);
 
 /** Fold a space's knob structure (menus + structural flags) in. */
 uint64_t ckptHashSpace(uint64_t hash, const MappingSpace& space);
@@ -124,6 +103,14 @@ void ckptWriteCache(CkptWriter& w, const EvalCache& cache);
 /** Restore entries via insert() (counters untouched); false + poisoned
  *  reader on malformed input, with the cache possibly half-filled. */
 bool ckptReadCache(CkptReader& r, EvalCache& cache);
+
+/** Credit a resumed run's pre-kill work into the process-wide metrics,
+ *  so registry totals equal the engine's checkpoint-aware totals and
+ *  telemetry_check's identities hold across kill/resume. */
+void ckptCreditRestoredMetrics(int evaluations,
+                               const FailureHistogram& failures,
+                               uint64_t boundPruned, uint64_t cacheHits,
+                               uint64_t cacheMisses, bool incremental);
 
 /** Serialize a failure-reason histogram (tagged "hist"). */
 void ckptWriteHistogram(CkptWriter& w, const FailureHistogram& hist);

@@ -10,26 +10,20 @@
  * search loop needs (valid + cycles), so a repeated sample skips the
  * tree build and the entire analysis.
  *
- * Sharding: the hash picks one of `shards` independently-locked maps,
- * so concurrent workers evaluating different mappings rarely contend.
- * Hit/miss counters are atomics surfaced in MapperResult.
+ * EvalCache is a ShardedCache (common/shardedcache.hpp): sharded,
+ * FIFO-bounded (unbounded by default), memory-budget aware, with
+ * "evalcache.*" registry counters. Hit/miss counters are surfaced in
+ * MapperResult.
  */
 
 #ifndef TILEFLOW_MAPPER_EVALCACHE_HPP
 #define TILEFLOW_MAPPER_EVALCACHE_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/membudget.hpp"
-#include "common/telemetry.hpp"
+#include "common/shardedcache.hpp"
 
 namespace tileflow {
 
@@ -65,161 +59,26 @@ struct CachedEval
     bool pruned = false;
 };
 
-class EvalCache
+struct EvalCacheTraits
 {
-  public:
-    /**
-     * @param shards              independently-locked map shards
-     * @param maxEntriesPerShard  FIFO-evict beyond this many entries
-     *        per shard; 0 (the default) keeps the cache unbounded.
-     *        Eviction changes hit rates only, never values — an
-     *        evicted mapping is simply re-evaluated on its next
-     *        lookup — so checkpoint/resume runs stay bit-identical
-     *        under any cap.
-     * @param maxBytesPerShard    FIFO-evict beyond this many
-     *        (approximate) entry bytes per shard; 0 = unbounded.
-     *        Both caps are halved (to a floor) by soft memory
-     *        pressure — see shrink().
-     */
-    explicit EvalCache(size_t shards = 16,
-                       size_t maxEntriesPerShard = 0,
-                       size_t maxBytesPerShard = 0);
-
-    ~EvalCache();
-
-    EvalCache(const EvalCache&) = delete;
-    EvalCache& operator=(const EvalCache&) = delete;
+    using Key = std::vector<int64_t>;
+    using Value = CachedEval;
 
     /** FNV-1a over the bytes of the choice vector's int64 entries. */
-    static uint64_t hashChoices(const std::vector<int64_t>& choices);
+    static uint64_t hash(const Key& choices);
 
-    /** Find a memoized result; counts a hit or a miss. */
-    std::optional<CachedEval> lookup(const std::vector<int64_t>& choices);
+    /** Key counted twice (map entry + FIFO copy), plus the value and
+     *  its failure reason. */
+    static size_t entryBytes(const Key& choices, const CachedEval& value);
 
-    /** Memoize a result (last writer wins on a benign race). */
-    void insert(const std::vector<int64_t>& choices, CachedEval value);
-
-    /**
-     * Per-instance counters since construction or the last clear().
-     * Searches that need totals scoped to one run must snapshot these
-     * around the run and report the delta (the engines do; see
-     * genetic.cpp / mcts.cpp) — never compare raw totals across a
-     * clear(). The process-cumulative view lives in the global
-     * MetricsRegistry ("evalcache.*"), which clear() does NOT reset.
-     */
-    uint64_t hits() const { return hits_.load(); }
-    uint64_t misses() const { return misses_.load(); }
-
-    /** Entries FIFO-evicted by the per-shard cap (clear() resets it
-     *  along with hits/misses; the registry counter does not reset). */
-    uint64_t evictions() const { return evictions_.load(); }
-
-    /** Number of distinct mappings memoized. */
-    size_t size() const;
-
-    /** Approximate bytes held (exact vs. this cache's own insert /
-     *  eviction accounting; see entryBytes()). */
-    uint64_t bytes() const;
-
-    /**
-     * The per-entry byte estimate the accounting uses: a pure
-     * function of entry *sizes* (never capacities), so the bytes
-     * credited at insert equal the bytes debited at eviction and the
-     * `evalcache.bytes` gauge stays exactly
-     * bytes_inserted − bytes_evicted (telemetry_check asserts it).
-     * Counts the key twice — the map entry and the FIFO deque copy.
-     */
-    static size_t entryBytes(const std::vector<int64_t>& choices,
-                             const CachedEval& value);
-
-    /**
-     * Memory-pressure hook (registered with MemoryBudget at
-     * construction). Soft: halve the entry/byte caps — installing a
-     * byte cap at half the current largest shard when unbounded —
-     * and evict down to them. Hard: drop every entry. Unlike
-     * clear(), instance hit/miss counters are preserved, so engines
-     * snapshotting deltas around a run stay consistent when pressure
-     * fires mid-run. Uses try_lock per shard (a contended shard is
-     * skipped and shrunk at the next pressure event). Returns the
-     * approximate bytes freed.
-     */
-    uint64_t shrink(MemPressure level);
-
-    /** shrink(Hard): drop every entry, keep hit/miss counters. */
-    uint64_t evictAll();
-
-    /**
-     * Visit every memoized entry (checkpoint serialization). Not
-     * synchronized against concurrent insert(): call only while no
-     * workers are running (e.g. at a generation boundary). Iteration
-     * order is unspecified.
-     */
-    void forEach(const std::function<void(const std::vector<int64_t>&,
-                                          const CachedEval&)>& fn) const;
-
-    /**
-     * Drop every entry AND zero the instance hit/miss counters, so
-     * hit rates computed after a clear (tuner restart, rejected
-     * checkpoint) never mix fresh lookups with stale totals. Cleared
-     * entries count as evictions in the metrics registry.
-     */
-    void clear();
-
-  private:
-    struct ChoiceHash
-    {
-        size_t
-        operator()(const std::vector<int64_t>& key) const
-        {
-            return size_t(hashChoices(key));
-        }
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<std::vector<int64_t>, CachedEval, ChoiceHash>
-            map;
-        std::deque<std::vector<int64_t>> order; ///< FIFO for the cap
-        size_t bytes = 0; ///< sum of entryBytes() over map (under mutex)
-    };
-
-    Shard& shardFor(uint64_t hash) { return shards_[hash % shards_.size()]; }
-
-    /** Pop the FIFO-oldest entry; returns its bytes (caller holds the
-     *  shard mutex and credits the metrics). */
-    size_t evictOneLocked(Shard& shard);
-
-    /** Credit an eviction batch to instance + registry accounting. */
-    void creditEvictions(uint64_t entries, uint64_t bytes);
-
-    std::vector<Shard> shards_;
-    std::atomic<size_t> maxEntriesPerShard_;
-    std::atomic<size_t> maxBytesPerShard_;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> evictions_{0};
-
-    // Process-cumulative mirrors (survive clear(); see DESIGN.md §10).
-    Counter& metricHits_ =
-        MetricsRegistry::global().counter("evalcache.hits");
-    Counter& metricMisses_ =
-        MetricsRegistry::global().counter("evalcache.misses");
-    Counter& metricInserts_ =
-        MetricsRegistry::global().counter("evalcache.inserts");
-    Counter& metricEvictions_ =
-        MetricsRegistry::global().counter("evalcache.evictions");
-    Counter& metricBytesInserted_ =
-        MetricsRegistry::global().counter("evalcache.bytes_inserted");
-    Counter& metricBytesEvicted_ =
-        MetricsRegistry::global().counter("evalcache.bytes_evicted");
-    Gauge& metricBytes_ =
-        MetricsRegistry::global().gauge("evalcache.bytes");
-
-    // Registered last so it is destroyed first: no shrink callback
-    // can arrive once the destructor body runs.
-    MemReclaimRegistration budgetReg_;
+    static constexpr const char* kMetricPrefix = "evalcache.";
+    static constexpr const char* kBudgetName = "evalcache";
+    static constexpr size_t kDefaultEntryCap = 0;
+    static constexpr const char* kTraceHits = "evalcache.hits";
+    static constexpr const char* kTraceMisses = "evalcache.misses";
 };
+
+using EvalCache = ShardedCache<EvalCacheTraits>;
 
 } // namespace tileflow
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "common/telemetry.hpp"
@@ -77,7 +79,6 @@ GeneticMapper::run()
     const auto run_start = std::chrono::steady_clock::now();
     int64_t restored_elapsed_ms = 0;
 
-    MetricsRegistry& metrics = MetricsRegistry::global();
     static Counter& gen_counter =
         MetricsRegistry::global().counter("ga.generations");
     static Histogram& gen_hist =
@@ -194,24 +195,21 @@ GeneticMapper::run()
     };
 
     // ---- Checkpoint plumbing -------------------------------------
-    uint64_t config_hash = kCkptHashInit;
+    uint64_t config_hash = kFnvOffset;
     int start_gen = 0;
 
     if (!config_.checkpointPath.empty()) {
-        config_hash = ckptHash(config_hash, config_.seed);
-        config_hash = ckptHash(config_hash,
-                               uint64_t(config_.populationSize));
-        config_hash = ckptHash(config_hash,
-                               uint64_t(config_.generations));
-        config_hash = ckptHash(config_hash, uint64_t(config_.topK));
-        config_hash = ckptHashDouble(config_hash, config_.mutationRate);
-        config_hash = ckptHash(
+        config_hash = fnvWord(config_hash, config_.seed);
+        config_hash = fnvWord(config_hash, uint64_t(config_.populationSize));
+        config_hash = fnvWord(config_hash, uint64_t(config_.generations));
+        config_hash = fnvWord(config_hash, uint64_t(config_.topK));
+        config_hash = fnvWord(
+            config_hash, std::bit_cast<uint64_t>(config_.mutationRate));
+        config_hash = fnvWord(
             config_hash, uint64_t(config_.mctsSamplesPerIndividual));
-        config_hash = ckptHash(config_hash, uint64_t(config_.mctsBatch));
-        config_hash = ckptHash(config_hash,
-                               config_.prescreen ? 1 : 0);
-        config_hash = ckptHash(config_hash,
-                               uint64_t(config_.prescreenRetries));
+        config_hash = fnvWord(config_hash, uint64_t(config_.mctsBatch));
+        config_hash = fnvWord(config_hash, config_.prescreen ? 1 : 0);
+        config_hash = fnvWord(config_hash, uint64_t(config_.prescreenRetries));
         config_hash = ckptHashSpace(config_hash, *space_);
     }
 
@@ -271,29 +269,10 @@ GeneticMapper::run()
                 is >> rng.engine();
                 global_evals.store(result.evaluations,
                                    std::memory_order_relaxed);
-                // Credit the pre-kill portion into the process-wide
-                // metrics so registry totals equal the checkpoint-
-                // aware totals reported in the result.
-                metrics.counter("mapper.evaluations")
-                    .add(uint64_t(result.evaluations));
-                metrics.counter("mapper.failed_evaluations")
-                    .add(histogramTotal(result.failureHistogram));
-                // Keep the analysis/mapper counter reconciliation
-                // intact across kill/resume (see mcts.cpp).
-                metrics
-                    .counter(incremental_ ? "analysis.incremental_evals"
-                                          : "analysis.evaluations")
-                    .add(uint64_t(result.evaluations));
-                metrics.counter("evalcache.hits").add(restored_hits);
-                metrics.counter("evalcache.misses").add(restored_misses);
-                // Bound-prune credits keep the candidates identity
-                // (candidates == bound_pruned + evaluations) intact
-                // across kill/resume.
-                metrics.counter("mapper.bound_pruned")
-                    .add(result.boundPruned);
-                metrics.counter("mapper.candidates")
-                    .add(uint64_t(result.evaluations) +
-                         result.boundPruned);
+                ckptCreditRestoredMetrics(
+                    result.evaluations, result.failureHistogram,
+                    result.boundPruned, restored_hits, restored_misses,
+                    incremental_ != nullptr);
             } else {
                 warn("ga checkpoint '", config_.checkpointPath,
                      "': truncated state; starting fresh");

@@ -24,9 +24,9 @@ exploreSpace(const Evaluator& evaluator, const MappingSpace& space,
     ga.boundPrune = config.boundPrune;
 
     ThreadPool pool(config.threads > 0 ? size_t(config.threads) : 0);
-    EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
+    EvalCache cache(16, config.evalCacheCap, config.cacheBytesCap);
     SubtreeCache subtree_cache(16, config.subtreeCacheCap,
-                               config.subtreeCacheBytesCap);
+                               config.cacheBytesCap);
     const IncrementalEvaluator incremental(evaluator, subtree_cache);
 
     GeneticMapper mapper(evaluator, space, ga, &pool, &cache);
@@ -62,9 +62,9 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
 {
     Rng rng(seed);
     ThreadPool pool(config.threads > 0 ? size_t(config.threads) : 0);
-    EvalCache cache(16, config.evalCacheCap, config.evalCacheBytesCap);
+    EvalCache cache(16, config.evalCacheCap, config.cacheBytesCap);
     SubtreeCache subtree_cache(16, config.subtreeCacheCap,
-                               config.subtreeCacheBytesCap);
+                               config.cacheBytesCap);
     const IncrementalEvaluator incremental(evaluator, subtree_cache);
 
     const StopControl stop(Deadline::afterMs(config.timeBudgetMs),

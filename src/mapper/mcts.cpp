@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/membudget.hpp"
 #include "common/telemetry.hpp"
@@ -105,7 +107,6 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
     const auto run_start = std::chrono::steady_clock::now();
     int64_t restored_elapsed_ms = 0;
 
-    MetricsRegistry& metrics = MetricsRegistry::global();
     static Counter& batch_counter =
         MetricsRegistry::global().counter("mcts.batches");
     static Counter& sample_counter =
@@ -183,15 +184,16 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         [](MemPressure) -> uint64_t { return 0; });
     tree_gauge.set(double(kNodeBytes));
 
-    uint64_t config_hash = kCkptHashInit;
+    uint64_t config_hash = kFnvOffset;
     if (!ckptPath_.empty()) {
-        config_hash = ckptHash(config_hash, ckptSalt_);
-        config_hash = ckptHash(config_hash, uint64_t(batch_));
-        config_hash = ckptHash(config_hash, uint64_t(samples));
-        config_hash = ckptHashDouble(config_hash, exploration_);
-        config_hash = ckptHash(config_hash, base.size());
+        config_hash = fnvWord(config_hash, ckptSalt_);
+        config_hash = fnvWord(config_hash, uint64_t(batch_));
+        config_hash = fnvWord(config_hash, uint64_t(samples));
+        config_hash =
+            fnvWord(config_hash, std::bit_cast<uint64_t>(exploration_));
+        config_hash = fnvWord(config_hash, base.size());
         for (int64_t c : base)
-            config_hash = ckptHash(config_hash, uint64_t(c));
+            config_hash = fnvWord(config_hash, uint64_t(c));
         config_hash = ckptHashSpace(config_hash, *space_);
 
         if (std::optional<CkptReader> r =
@@ -249,30 +251,10 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                         result.evaluations,
                         std::memory_order_relaxed);
                 }
-                // Credit the pre-kill portion into the process-wide
-                // metrics (see genetic.cpp for the rationale).
-                metrics.counter("mapper.evaluations")
-                    .add(uint64_t(result.evaluations));
-                metrics.counter("mapper.failed_evaluations")
-                    .add(histogramTotal(result.failureHistogram));
-                // Credit the evaluator-side counter the resumed
-                // portion would have bumped, so the analysis/mapper
-                // reconciliation telemetry_check enforces still holds
-                // after a kill/resume cycle.
-                metrics
-                    .counter(incremental_ ? "analysis.incremental_evals"
-                                          : "analysis.evaluations")
-                    .add(uint64_t(result.evaluations));
-                metrics.counter("evalcache.hits").add(restored_hits);
-                metrics.counter("evalcache.misses").add(restored_misses);
-                // Bound-prune credits keep the candidates identity
-                // (candidates == bound_pruned + evaluations) intact
-                // across kill/resume.
-                metrics.counter("mapper.bound_pruned")
-                    .add(result.boundPruned);
-                metrics.counter("mapper.candidates")
-                    .add(uint64_t(result.evaluations) +
-                         result.boundPruned);
+                ckptCreditRestoredMetrics(
+                    result.evaluations, result.failureHistogram,
+                    result.boundPruned, restored_hits, restored_misses,
+                    incremental_ != nullptr);
             } else {
                 warn("mcts checkpoint '", ckptPath_,
                      "': truncated state; starting fresh");

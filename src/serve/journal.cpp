@@ -4,8 +4,9 @@
 
 #include <unistd.h>
 
+#include "common/durable.hpp"
+#include "common/hash.hpp"
 #include "common/logging.hpp"
-#include "mapper/checkpoint.hpp"
 
 namespace tileflow {
 
@@ -55,12 +56,12 @@ journalLine(const JournalRecord& rec)
     line += ' ';
     line += std::to_string(rec.attempt);
     line += ' ';
-    line += ckptHex64(payload.size());
+    line += hex64(payload.size());
     line += ' ';
     line += payload;
-    const uint64_t sum = ckptHashBytes(line.data(), line.size());
+    const uint64_t sum = fnvBytes(line);
     line += ' ';
-    line += ckptHex64(sum);
+    line += hex64(sum);
     return line;
 }
 
@@ -75,7 +76,7 @@ parseJournalLine(const std::string& line)
     const std::string body = line.substr(0, sep);
     const uint64_t stored =
         std::strtoull(line.c_str() + sep + 1, nullptr, 16);
-    if (ckptHashBytes(body.data(), body.size()) != stored)
+    if (fnvBytes(body) != stored)
         return std::nullopt;
 
     // body: jobid event attempt len payload
@@ -206,11 +207,11 @@ Journal::open(const std::string& path,
     if (!existed) {
         std::fputs(kHeader, f);
         std::fputc('\n', f);
-        if (!ckptFsyncFile(f)) {
+        if (!fsyncFile(f)) {
             std::fclose(f);
             return std::nullopt;
         }
-        ckptFsyncParentDir(path);
+        fsyncParentDir(path);
     } else {
         if (::ftruncate(fileno(f), off_t(valid_end)) != 0) {
             warn("journal: cannot truncate '", path, "'");
@@ -239,7 +240,7 @@ Journal::append(const JournalRecord& rec)
         return false;
     // Durable before the supervisor acts on the transition: the
     // record must survive kill -9 arriving immediately after.
-    return ckptFsyncFile(file_);
+    return fsyncFile(file_);
 }
 
 bool
@@ -437,31 +438,8 @@ compactJournalFile(const std::string& path, std::string* error)
     if (after.size() >= before.size())
         return result; // not smaller: leave the journal alone
 
-    const std::string tmp = path + ".compact.tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        if (error)
-            *error = concat("cannot open '", tmp, "' for writing");
+    if (!replaceFileDurably(path, path + ".compact.tmp", after, error))
         return std::nullopt;
-    }
-    const bool wrote =
-        std::fwrite(after.data(), 1, after.size(), f) == after.size() &&
-        ckptFsyncFile(f);
-    std::fclose(f);
-    if (!wrote) {
-        std::remove(tmp.c_str());
-        if (error)
-            *error = concat("cannot write '", tmp, "'");
-        return std::nullopt;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        if (error)
-            *error = concat("cannot rename '", tmp, "' over '", path,
-                            "'");
-        return std::nullopt;
-    }
-    ckptFsyncParentDir(path);
     result.rewritten = true;
     result.recordsAfter = compacted->size();
     return result;

@@ -3,9 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mapper/checkpoint.hpp"
+#include "common/hash.hpp"
 
 namespace tileflow {
+
+double
+jobAttemptDraw(uint64_t seed, const std::string& jobId, int attempt)
+{
+    uint64_t h = fnvWord(kFnvOffset, seed);
+    h = fnvBytes(jobId, h);
+    return unitDraw(fnvWord(h, uint64_t(attempt)));
+}
 
 int64_t
 RetryPolicy::delayMs(const std::string& jobId,
@@ -18,10 +26,7 @@ RetryPolicy::delayMs(const std::string& jobId,
 
     // Deterministic jitter: hash (seed, jobId, attempt) to u in
     // [0, 1), spread the delay across [d*(1-j/2), d*(1+j/2)].
-    uint64_t h = ckptHash(kCkptHashInit, seed);
-    h = ckptHashBytes(jobId.data(), jobId.size(), h);
-    h = ckptHash(h, uint64_t(failed_attempts));
-    const double u = double(h >> 11) / double(1ULL << 53);
+    const double u = jobAttemptDraw(seed, jobId, failed_attempts);
     const double j = std::clamp(jitterFraction, 0.0, 1.0);
     delay *= 1.0 + j * (u - 0.5);
     return int64_t(std::llround(std::max(0.0, delay)));

@@ -25,6 +25,11 @@
 
 namespace tileflow {
 
+/** Uniform [0, 1) draw, pure in (seed, job, attempt): the retry
+ *  jitter and the worker's seeded crash injection both use it. */
+double jobAttemptDraw(uint64_t seed, const std::string& jobId,
+                      int attempt);
+
 struct RetryPolicy
 {
     /** Total attempts a job may consume before it is permanently

@@ -16,12 +16,13 @@
 #include "common/logging.hpp"
 #include "common/membudget.hpp"
 #include "common/signalutil.hpp"
+#include "common/strings.hpp"
 #include "common/threadpool.hpp"
 #include "dataflows/attention.hpp"
 #include "frontend/loader.hpp"
 #include "ir/shapes.hpp"
-#include "mapper/checkpoint.hpp"
 #include "mapper/mapper.hpp"
+#include "serve/retry.hpp"
 
 namespace tileflow {
 
@@ -107,23 +108,8 @@ decodeWorkerStatus(const std::string& text)
 std::optional<WorkerFaultPlan>
 WorkerFaultPlan::fromEnv()
 {
-    const char* env = std::getenv("TILEFLOW_JOBD_FAULT");
-    if (!env || !*env)
-        return std::nullopt;
     WorkerFaultPlan plan;
-    const std::string spec = env;
-    size_t pos = 0;
-    while (pos < spec.size()) {
-        size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        const std::string part = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        const size_t eq = part.find('=');
-        if (eq == std::string::npos)
-            continue;
-        const std::string key = part.substr(0, eq);
-        const std::string value = part.substr(eq + 1);
+    for (const auto& [key, value] : envKeyValues("TILEFLOW_JOBD_FAULT")) {
         if (key == "crash")
             plan.crashFraction = std::strtod(value.c_str(), nullptr);
         else if (key == "seed")
@@ -138,11 +124,7 @@ WorkerFaultPlan::fromEnv()
 bool
 WorkerFaultPlan::shouldCrash(const std::string& jobId, int attempt) const
 {
-    uint64_t h = ckptHash(kCkptHashInit, seed);
-    h = ckptHashBytes(jobId.data(), jobId.size(), h);
-    h = ckptHash(h, uint64_t(attempt));
-    const double u = double(h >> 11) / double(1ULL << 53);
-    return u < crashFraction;
+    return jobAttemptDraw(seed, jobId, attempt) < crashFraction;
 }
 
 int
@@ -298,8 +280,7 @@ runWorker(const JobFile& file, const std::string& jobId, int attempt,
                                          << 20;
             const size_t per_shard = size_t(std::max<uint64_t>(
                 4096, (limit_bytes / 64) >> degrade_shift));
-            cfg.evalCacheBytesCap = per_shard;
-            cfg.subtreeCacheBytesCap = per_shard;
+            cfg.cacheBytesCap = per_shard;
         }
 
         const MapperResult result = exploreSpace(model, space, cfg);

@@ -384,6 +384,9 @@ TEST(SubtreeCache, PerShardCapEvictsFifo)
     EXPECT_FALSE(cache.lookup(k1).has_value());
     EXPECT_TRUE(cache.lookup(k2).has_value());
     EXPECT_TRUE(cache.lookup(k3).has_value());
+    // clear() zeroes the instance eviction count, as EvalCache's does.
+    cache.clear();
+    EXPECT_EQ(cache.evictions(), 0u);
 }
 
 TEST(SubtreeCache, ReinsertDoesNotEvict)
@@ -464,6 +467,7 @@ TEST(EvalCacheBounded, DefaultCapIsUnbounded)
 
 TEST(EvalCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
 {
+    MetricsRegistry& metrics = MetricsRegistry::global();
     EvalCache cache(4, 8);
     constexpr int kWorkers = 4;
     constexpr int kOpsPerWorker = 2000;
@@ -496,10 +500,25 @@ TEST(EvalCacheConcurrency, CountersStayConsistentUnderConcurrentClear)
             std::this_thread::yield();
         }
     });
+    // Memory-pressure reclaim (the try_lock paths) beside the
+    // inserters and the clearer.
+    std::thread reclaimer([&cache, &stop]() {
+        while (!stop.load()) {
+            cache.shrink(MemPressure::Soft);
+            cache.evictAll();
+            std::this_thread::yield();
+        }
+    });
     for (std::thread& t : workers)
         t.join();
     stop.store(true);
     clearer.join();
+    reclaimer.join();
+
+    // Byte accounting stays exact through every reclaim path.
+    EXPECT_EQ(metrics.gauge("evalcache.bytes").value(),
+              double(metrics.counterValue("evalcache.bytes_inserted")) -
+                  double(metrics.counterValue("evalcache.bytes_evicted")));
 
     // clear() only ever resets the instance counters, so they can
     // never exceed the lookups actually issued.

@@ -358,6 +358,19 @@ TEST(MemBudget, EvalCacheShrinkSoftHalvesThenHardFlushes)
     EXPECT_EQ(cache.misses(), misses_before);
 }
 
+TEST(MemBudget, SoftShrinkNeverRaisesACapBelowItsFloor)
+{
+    // An entry cap of 8 is already below the 64-entry soft-pressure
+    // floor; pressure must keep it at 8, not lift it to the floor.
+    BudgetGuard guard;
+    SubtreeCache cache(1, 8);
+    cache.shrink(MemPressure::Soft);
+    SubtreePartial partial;
+    for (uint64_t i = 0; i < 32; ++i)
+        cache.insert(SubtreeKey{i, 0}, partial);
+    EXPECT_EQ(cache.size(), 8u);
+}
+
 // -------------------------------------------------------------------
 // AllocFaultInjector
 // -------------------------------------------------------------------
