@@ -200,6 +200,20 @@ TEST(Shapes, TableThreeComplete)
     EXPECT_THROW(convChainShape("CC9"), FatalError);
 }
 
+} // namespace
+
+/**
+ * Print a shape by name. Without this gtest prints the raw bytes, which
+ * include a heap pointer, so test names would change run to run.
+ */
+static void
+PrintTo(const AttentionShape& s, std::ostream* os)
+{
+    *os << s.name;
+}
+
+namespace {
+
 /** Every registered attention shape builds a consistent workload. */
 class AttentionShapeParam
     : public ::testing::TestWithParam<AttentionShape>
