@@ -18,6 +18,7 @@
 #include "analysis/faultinject.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/resource.hpp"
+#include "analysis/subtreecache.hpp"
 #include "arch/arch.hpp"
 #include "common/membudget.hpp"
 #include "core/tree.hpp"
@@ -70,8 +71,7 @@ struct EvalResult
  * class(es) whose enforcement actually gated the result. A mapping
  * rejected for a memory overflow under enforceCompute = false must
  * not drag unrelated (unenforced) compute violations into
- * EvalResult::problems, and vice versa. Shared by Evaluator and
- * IncrementalEvaluator so the two paths can never drift.
+ * EvalResult::problems, and vice versa.
  */
 std::vector<std::string>
 enforcementProblems(const EvalOptions& options,
@@ -80,12 +80,29 @@ enforcementProblems(const EvalOptions& options,
 /**
  * The performance model of TileFlow.
  *
+ * With a SubtreeCache attached (setSubtreeCache), evaluate() memoizes
+ * each Tile node's analysis partials — data-movement traffic, step
+ * footprint, per-execution latencies — under (subtreeHash,
+ * contextSignature). Search engines mutate one knob at a time, so
+ * after a mutation only the changed node's ancestor spine misses.
+ * Bit-identity contract: the memoized result equals the plain one bit
+ * for bit, because cached partials are the exact values a fresh
+ * analysis computes and both paths accumulate them through the same
+ * analyzer code in the same order (tests/test_incremental.cpp asserts
+ * this across every oracle fuzz family). Telemetry: the plain path
+ * bumps `analysis.evaluations` / `analysis.evaluate_ns`, the memoized
+ * one `analysis.incremental_evals` / `analysis.incremental_evaluate_ns`
+ * plus the cache's `analysis.subtree_*` counters; both share the
+ * evaluate.* trace spans.
+ *
  * Thread-safety: evaluate() is reentrant. It holds no mutable state —
- * the workload/spec/options members are read-only after construction
- * and every analyzer is constructed locally per call — so one
+ * the workload/spec/options members are read-only after construction,
+ * every analyzer and the memo's per-node slots are constructed locally
+ * per call, and the SubtreeCache is internally synchronized — so one
  * Evaluator may serve concurrent evaluate() calls from the mapper's
  * thread pool without synchronization. The fault injector, when set,
- * is likewise read-only and its decisions are pure.
+ * is likewise read-only and its decisions are pure. Copies share the
+ * injectors and the attached cache.
  */
 class Evaluator
 {
@@ -144,6 +161,12 @@ class Evaluator
                               : allocEnvInjector_.get();
     }
 
+    /** Memoize per-subtree partials in `cache` (nullptr: plain
+     *  evaluation). The cache must outlive every evaluate() call. */
+    void setSubtreeCache(SubtreeCache* cache) { subtreeCache_ = cache; }
+
+    SubtreeCache* subtreeCache() const { return subtreeCache_; }
+
     /** Evaluate one mapping end to end. */
     EvalResult evaluate(const AnalysisTree& tree) const;
 
@@ -155,6 +178,7 @@ class Evaluator
     std::shared_ptr<const FaultInjector> envInjector_;
     std::shared_ptr<const AllocFaultInjector> allocInjector_;
     std::shared_ptr<const AllocFaultInjector> allocEnvInjector_;
+    SubtreeCache* subtreeCache_ = nullptr;
 };
 
 } // namespace tileflow

@@ -1,64 +1,30 @@
 /**
  * @file
- * Incremental evaluation: Evaluator semantics with per-subtree
- * memoization.
+ * IncrementalEvaluator: an Evaluator with a SubtreeCache attached.
  *
- * Search engines mutate one knob of a mapping at a time, so successive
- * evaluations share most of their tree. IncrementalEvaluator wraps a
- * plain Evaluator and a SubtreeCache: each Tile node's analysis
- * partials (data-movement traffic, step footprint, per-execution
- * latencies) are looked up under (subtreeHash, contextSignature)
- * before being recomputed. After a single-knob mutation only the
- * changed node and its ancestor spine miss — siblings and, for
- * context-preserving knobs like scope-kind flips, even the changed
- * node's former neighbors hit.
- *
- * Bit-identity contract: evaluate() returns an EvalResult equal bit
- * for bit to base().evaluate() on the same tree. Cached partials are
- * the exact values a fresh analysis computes, and both paths
- * accumulate them through the same analyzer code in the same order,
- * so no floating-point reassociation can creep in. The tier-1
- * property test (tests/test_incremental.cpp) asserts this across
- * every oracle fuzz family.
- *
- * Telemetry: bumps `analysis.incremental_evals` (the full path bumps
- * `analysis.evaluations`) and times itself in
- * `analysis.incremental_evaluate_ns`; cache traffic lands in the
- * `analysis.subtree_*` counters. Trace spans reuse the evaluate.*
- * names so one trace viewer profile covers both paths.
+ * Evaluator::evaluate memoizes per-subtree analysis partials whenever
+ * a cache is attached (see evaluator.hpp for the bit-identity
+ * contract and telemetry). This subclass is the one-line way to get
+ * such an evaluator from a plain one; it adds no behaviour.
  */
 
 #ifndef TILEFLOW_ANALYSIS_INCREMENTAL_HPP
 #define TILEFLOW_ANALYSIS_INCREMENTAL_HPP
 
 #include "analysis/evaluator.hpp"
-#include "analysis/subtreecache.hpp"
 
 namespace tileflow {
 
-/**
- * Thread-safety: evaluate() is reentrant, like Evaluator's. All
- * per-call state is local; the shared SubtreeCache is internally
- * synchronized. One IncrementalEvaluator may serve the mapper's whole
- * thread pool.
- */
-class IncrementalEvaluator
+class IncrementalEvaluator : public Evaluator
 {
   public:
+    /** Copies `base` (workload, spec, options and fault injectors as
+     *  set now) and attaches `cache`, which must outlive this. */
     IncrementalEvaluator(const Evaluator& base, SubtreeCache& cache)
-        : base_(&base), cache_(&cache)
+        : Evaluator(base)
     {
+        setSubtreeCache(&cache);
     }
-
-    const Evaluator& base() const { return *base_; }
-    SubtreeCache& cache() const { return *cache_; }
-
-    /** Evaluate one mapping; bit-identical to base().evaluate(tree). */
-    EvalResult evaluate(const AnalysisTree& tree) const;
-
-  private:
-    const Evaluator* base_;
-    SubtreeCache* cache_;
 };
 
 } // namespace tileflow

@@ -63,7 +63,7 @@ struct LatencyResult
 };
 
 /**
- * Memoization hooks for the incremental evaluator. lookup returns the
+ * Memoization hooks for the subtree-memoized Evaluator. lookup returns the
  * cached per-execution latency of `node` for the given pass (memory /
  * pure-compute), or nullptr; record is invoked with every freshly
  * computed one. The memory pass still visits every Tile node on a hit

@@ -90,9 +90,9 @@ bool equalTrees(const AnalysisTree& a, const AnalysisTree& b);
  * 64-bit FNV-1a structural hash over exactly the attributes
  * equalTrees compares: node type, memory level, loop list (dim, kind,
  * extent, order), scope kind, op id and child shapes. Therefore
- * equalTrees(a, b) implies subtreeHash(a) == subtreeHash(b). The
- * incremental evaluator (analysis/incremental.hpp) keys its per-node
- * partial cache on this hash.
+ * equalTrees(a, b) implies subtreeHash(a) == subtreeHash(b). An
+ * Evaluator with a SubtreeCache attached (analysis/evaluator.hpp)
+ * keys its per-node partial cache on this hash.
  */
 uint64_t subtreeHash(const Node* node);
 

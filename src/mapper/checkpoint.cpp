@@ -36,24 +36,24 @@ ckptHashSpace(uint64_t hash, const MappingSpace& space)
 }
 
 void
-ckptCreditRestoredMetrics(int evaluations, const FailureHistogram& failures,
-                          uint64_t boundPruned, uint64_t cacheHits,
-                          uint64_t cacheMisses, bool incremental)
+ckptCreditRestoredMetrics(const SearchStats& restored,
+                          const Evaluator& evaluator)
 {
     MetricsRegistry& metrics = MetricsRegistry::global();
-    metrics.counter("mapper.evaluations").add(uint64_t(evaluations));
+    const uint64_t evaluations = uint64_t(restored.evaluations);
+    metrics.counter("mapper.evaluations").add(evaluations);
     metrics.counter("mapper.failed_evaluations")
-        .add(histogramTotal(failures));
+        .add(histogramTotal(restored.failureHistogram));
     // The evaluator-side counter the resumed portion would have bumped.
     metrics
-        .counter(incremental ? "analysis.incremental_evals"
-                             : "analysis.evaluations")
-        .add(uint64_t(evaluations));
-    metrics.counter("evalcache.hits").add(cacheHits);
-    metrics.counter("evalcache.misses").add(cacheMisses);
-    metrics.counter("mapper.bound_pruned").add(boundPruned);
+        .counter(evaluator.subtreeCache() ? "analysis.incremental_evals"
+                                          : "analysis.evaluations")
+        .add(evaluations);
+    metrics.counter("evalcache.hits").add(restored.cacheHits);
+    metrics.counter("evalcache.misses").add(restored.cacheMisses);
+    metrics.counter("mapper.bound_pruned").add(restored.boundPruned);
     metrics.counter("mapper.candidates")
-        .add(uint64_t(evaluations) + boundPruned);
+        .add(evaluations + restored.boundPruned);
 }
 
 void
@@ -130,6 +130,47 @@ ckptReadHistogram(CkptReader& r, FailureHistogram& hist)
             hist[reason] = count;
     }
     return r.ok();
+}
+
+void
+ckptWriteStats(CkptWriter& w, const SearchStats& stats)
+{
+    w.tag("trace");
+    w.u64(stats.trace.size());
+    for (double t : stats.trace)
+        w.d(t);
+    w.tag("evals");
+    w.i64(stats.evaluations);
+    // Written unconditionally (0 when pruning is off), so checkpoints
+    // interoperate across the boundPrune setting — which is
+    // deliberately NOT in the config hash.
+    w.tag("bpruned");
+    w.u64(stats.boundPruned);
+    w.tag("elapsedms");
+    w.i64(stats.elapsedMs);
+    w.tag("cachedelta");
+    w.u64(stats.cacheHits);
+    w.u64(stats.cacheMisses);
+    ckptWriteHistogram(w, stats.failureHistogram);
+}
+
+bool
+ckptReadStats(CkptReader& r, SearchStats& stats)
+{
+    r.tag("trace");
+    stats.trace.resize(size_t(r.u64()));
+    for (double& t : stats.trace)
+        t = r.d();
+    r.tag("evals");
+    stats.evaluations = int(r.i64());
+    r.tag("bpruned");
+    stats.boundPruned = r.u64();
+    r.tag("elapsedms");
+    stats.elapsedMs = r.i64();
+    r.tag("cachedelta");
+    stats.cacheHits = r.u64();
+    stats.cacheMisses = r.u64();
+    return ckptReadHistogram(r, stats.failureHistogram);
 }
 
 CkptWriter::CkptWriter(const std::string& kind, uint64_t config_hash)

@@ -104,17 +104,28 @@ void ckptWriteCache(CkptWriter& w, const EvalCache& cache);
  *  reader on malformed input, with the cache possibly half-filled. */
 bool ckptReadCache(CkptReader& r, EvalCache& cache);
 
-/** Credit a resumed run's pre-kill work into the process-wide metrics,
- *  so registry totals equal the engine's checkpoint-aware totals and
- *  telemetry_check's identities hold across kill/resume. */
-void ckptCreditRestoredMetrics(int evaluations,
-                               const FailureHistogram& failures,
-                               uint64_t boundPruned, uint64_t cacheHits,
-                               uint64_t cacheMisses, bool incremental);
+/** Credit a resumed run's pre-kill work (`restored`) into the
+ *  process-wide metrics, so registry totals equal the engine's
+ *  checkpoint-aware totals and telemetry_check's identities hold
+ *  across kill/resume. The evaluator-side counter credited is the one
+ *  `evaluator` bumps: `analysis.incremental_evals` when it has a
+ *  subtree cache attached, else `analysis.evaluations`. */
+void ckptCreditRestoredMetrics(const SearchStats& restored,
+                               const Evaluator& evaluator);
 
 /** Serialize a failure-reason histogram (tagged "hist"). */
 void ckptWriteHistogram(CkptWriter& w, const FailureHistogram& hist);
 bool ckptReadHistogram(CkptReader& r, FailureHistogram& hist);
+
+/** Serialize the persisted SearchStats fields as the contiguous token
+ *  block "trace evals bpruned elapsedms cachedelta hist" (`resumed`,
+ *  `timedOut` and `stopReason` describe one process and are not
+ *  stored). */
+void ckptWriteStats(CkptWriter& w, const SearchStats& stats);
+
+/** Read that block into `stats`; false + poisoned reader on malformed
+ *  input. */
+bool ckptReadStats(CkptReader& r, SearchStats& stats);
 
 /**
  * Test hook simulating a crash inside the checkpoint writer: the next

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -22,14 +21,6 @@ namespace tileflow {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-int64_t
-msSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 /** Valid individuals first, then by ascending cycles. */
 bool
@@ -73,12 +64,6 @@ GeneticMapper::run()
 {
     GeneticResult result;
 
-    // Wall clock for the time budget. A resumed run restores the
-    // pre-kill elapsed time from the checkpoint and arms the deadline
-    // with only the *remaining* budget — not a fresh full one.
-    const auto run_start = std::chrono::steady_clock::now();
-    int64_t restored_elapsed_ms = 0;
-
     static Counter& gen_counter =
         MetricsRegistry::global().counter("ga.generations");
     static Histogram& gen_hist =
@@ -99,18 +84,15 @@ GeneticMapper::run()
     std::unique_ptr<EvalCache> own_cache;
     EvalCache* cache = cache_;
     if (!cache) {
-        own_cache = std::make_unique<EvalCache>();
+        own_cache = std::make_unique<EvalCache>(16, config_.evalCacheCap,
+                                                config_.cacheBytesCap);
         cache = own_cache.get();
     }
-    // Counter snapshots are taken AFTER the checkpoint-restore block
-    // below: a rejected checkpoint clears the cache, which also zeroes
-    // its counters, and a snapshot straddling that reset would make
-    // the per-run deltas wrap. Restore itself does no lookups.
-    uint64_t hits_before = 0;
-    uint64_t misses_before = 0;
-    // Pre-kill counter portion restored from a checkpoint.
-    uint64_t restored_hits = 0;
-    uint64_t restored_misses = 0;
+    // Wall clock for the time budget and the cache counters, both
+    // checkpoint-aware: a resumed run restores the pre-kill portion
+    // and arms the deadline with only the *remaining* budget — not a
+    // fresh full one.
+    RunLedger ledger(cache);
 
     // Armed after the restore block, once the pre-kill elapsed time is
     // known; lambdas below capture it by reference.
@@ -170,7 +152,6 @@ GeneticMapper::run()
         Rng ind_rng(mixSeed(config_.seed, uint64_t(gen),
                             uint64_t(index)));
         MctsTuner tuner(*evaluator_, *space_, ind_rng);
-        tuner.setIncremental(incremental_);
         tuner.setCache(cache);
         tuner.setBatch(config_.mctsBatch);
         tuner.setStop(&stop, &global_evals);
@@ -186,7 +167,7 @@ GeneticMapper::run()
                     : std::numeric_limits<double>::infinity());
         }
         MctsResult tuned =
-            tuner.tune(ind.choices, config_.mctsSamplesPerIndividual);
+            tuner.tune(ind.choices, config_.tilingSamples);
         ind.valid = tuned.found;
         ind.cycles = tuned.found ? tuned.bestCycles : kNaN;
         if (tuned.found)
@@ -200,13 +181,12 @@ GeneticMapper::run()
 
     if (!config_.checkpointPath.empty()) {
         config_hash = fnvWord(config_hash, config_.seed);
-        config_hash = fnvWord(config_hash, uint64_t(config_.populationSize));
-        config_hash = fnvWord(config_hash, uint64_t(config_.generations));
+        config_hash = fnvWord(config_hash, uint64_t(config_.population));
+        config_hash = fnvWord(config_hash, uint64_t(config_.rounds));
         config_hash = fnvWord(config_hash, uint64_t(config_.topK));
         config_hash = fnvWord(
             config_hash, std::bit_cast<uint64_t>(config_.mutationRate));
-        config_hash = fnvWord(
-            config_hash, uint64_t(config_.mctsSamplesPerIndividual));
+        config_hash = fnvWord(config_hash, uint64_t(config_.tilingSamples));
         config_hash = fnvWord(config_hash, uint64_t(config_.mctsBatch));
         config_hash = fnvWord(config_hash, config_.prescreen ? 1 : 0);
         config_hash = fnvWord(config_hash, uint64_t(config_.prescreenRetries));
@@ -227,32 +207,14 @@ GeneticMapper::run()
             bool state_ok = readIndividual(*r, restored_best);
             r->tag("population");
             const uint64_t npop = r->u64();
-            if (npop == uint64_t(config_.populationSize)) {
+            if (npop == uint64_t(config_.population)) {
                 restored_pop.resize(size_t(npop));
                 for (auto& ind : restored_pop)
                     state_ok = state_ok && readIndividual(*r, ind);
             } else {
                 state_ok = false;
             }
-            r->tag("trace");
-            const uint64_t ntrace = r->u64();
-            restored.trace.resize(size_t(ntrace));
-            for (auto& t : restored.trace)
-                t = r->d();
-            r->tag("evals");
-            restored.evaluations = int(r->i64());
-            // Unconditional (0 when pruning is off): checkpoints
-            // interoperate across the boundPrune setting, which is
-            // deliberately NOT in the config hash.
-            r->tag("bpruned");
-            restored.boundPruned = r->u64();
-            r->tag("elapsedms");
-            const int64_t ckpt_elapsed_ms = r->i64();
-            r->tag("cachedelta");
-            restored_hits = r->u64();
-            restored_misses = r->u64();
-            state_ok = state_ok &&
-                       ckptReadHistogram(*r, restored.failureHistogram);
+            state_ok = ckptReadStats(*r, restored) && state_ok;
             r->tag("prescreen");
             restored.prescreenRejects = r->u64();
             r->tag("rng");
@@ -264,29 +226,23 @@ GeneticMapper::run()
                 best = restored_best;
                 population = std::move(restored_pop);
                 start_gen = int(gen);
-                restored_elapsed_ms = ckpt_elapsed_ms;
+                ledger.restore(result);
                 std::istringstream is(rng_state);
                 is >> rng.engine();
                 global_evals.store(result.evaluations,
                                    std::memory_order_relaxed);
-                ckptCreditRestoredMetrics(
-                    result.evaluations, result.failureHistogram,
-                    result.boundPruned, restored_hits, restored_misses,
-                    incremental_ != nullptr);
+                ckptCreditRestoredMetrics(result, *evaluator_);
             } else {
                 warn("ga checkpoint '", config_.checkpointPath,
                      "': truncated state; starting fresh");
-                restored_hits = 0;
-                restored_misses = 0;
                 cache->clear();
             }
         }
     }
 
-    hits_before = cache->hits();
-    misses_before = cache->misses();
+    ledger.snapshot();
     stop = StopControl(Deadline::afterRemainingMs(config_.timeBudgetMs,
-                                                  restored_elapsed_ms),
+                                                  ledger.restoredMs()),
                        config_.cancel, config_.maxEvaluations);
 
     auto save_checkpoint = [&](int next_gen) {
@@ -301,20 +257,8 @@ GeneticMapper::run()
         w.u64(population.size());
         for (const Individual& ind : population)
             writeIndividual(w, ind);
-        w.tag("trace");
-        w.u64(result.trace.size());
-        for (double t : result.trace)
-            w.d(t);
-        w.tag("evals");
-        w.i64(result.evaluations);
-        w.tag("bpruned");
-        w.u64(result.boundPruned);
-        w.tag("elapsedms");
-        w.i64(restored_elapsed_ms + msSince(run_start));
-        w.tag("cachedelta");
-        w.u64(restored_hits + (cache->hits() - hits_before));
-        w.u64(restored_misses + (cache->misses() - misses_before));
-        ckptWriteHistogram(w, result.failureHistogram);
+        ledger.settle(result);
+        ckptWriteStats(w, result);
         w.tag("prescreen");
         w.u64(result.prescreenRejects);
         w.tag("rng");
@@ -327,7 +271,7 @@ GeneticMapper::run()
     // --------------------------------------------------------------
 
     if (population.empty()) {
-        for (int i = 0; i < config_.populationSize; ++i)
+        for (int i = 0; i < config_.population; ++i)
             population.push_back(random_individual());
         // A started run is immediately resumable: persist the initial
         // population before any evaluation, so a budget that trips
@@ -343,14 +287,14 @@ GeneticMapper::run()
     ProgressMeter progress(config_.progressIntervalMs);
 
     int gens_since_ckpt = 0;
-    for (int gen = start_gen; gen < config_.generations; ++gen) {
+    for (int gen = start_gen; gen < config_.rounds; ++gen) {
         if (const char* why = stop.stopReason(
                 global_evals.load(std::memory_order_relaxed))) {
             result.timedOut = true;
             result.stopReason = why;
             // The state at a generation boundary is complete (no
             // degraded tuners), so persist it on the way out — with
-            // checkpointEveryGens > 1 a cancellation would otherwise
+            // checkpointEveryRounds > 1 a cancellation would otherwise
             // discard up to N-1 finished generations.
             if (gens_since_ckpt > 0)
                 save_checkpoint(gen);
@@ -387,11 +331,11 @@ GeneticMapper::run()
             const int64_t evals_now =
                 global_evals.load(std::memory_order_relaxed);
             const double secs =
-                std::max(1e-3, double(msSince(run_start)) / 1e3);
-            const uint64_t h = cache->hits() - hits_before;
-            const uint64_t m = cache->misses() - misses_before;
+                std::max(1e-3, double(ledger.sessionMs()) / 1e3);
+            const uint64_t h = ledger.sessionHits();
+            const uint64_t m = ledger.sessionMisses();
             const int64_t left = stop.deadline().remainingMs();
-            inform("progress: gen ", gen + 1, "/", config_.generations,
+            inform("progress: gen ", gen + 1, "/", config_.rounds,
                    " best=",
                    best.valid ? concat(uint64_t(best.cycles), " cycles")
                               : std::string("none"),
@@ -425,7 +369,7 @@ GeneticMapper::run()
             std::min<int>(config_.topK, int(population.size()));
         std::vector<Individual> next(population.begin(),
                                      population.begin() + keep);
-        while (int(next.size()) < config_.populationSize) {
+        while (int(next.size()) < config_.population) {
             Individual child;
             const int attempts =
                 config_.prescreen ? std::max(1, config_.prescreenRetries)
@@ -455,18 +399,15 @@ GeneticMapper::run()
         }
         population = std::move(next);
 
-        if (++gens_since_ckpt >= config_.checkpointEveryGens ||
-            gen + 1 == config_.generations) {
+        if (++gens_since_ckpt >= config_.checkpointEveryRounds ||
+            gen + 1 == config_.rounds) {
             save_checkpoint(gen + 1);
             gens_since_ckpt = 0;
         }
     }
 
     result.best = best;
-    result.cacheHits = restored_hits + (cache->hits() - hits_before);
-    result.cacheMisses =
-        restored_misses + (cache->misses() - misses_before);
-    result.elapsedMs = restored_elapsed_ms + msSince(run_start);
+    ledger.settle(result);
     return result;
 }
 

@@ -46,73 +46,37 @@
 #include "mapper/encoding.hpp"
 #include "mapper/evalcache.hpp"
 #include "mapper/guard.hpp"
+#include "mapper/mapper.hpp"
 
 namespace tileflow {
 
-/** GA configuration. */
-struct GeneticConfig
+/**
+ * GA configuration: the mapper's knobs (`rounds` generations of
+ * `population` individuals, `tilingSamples` MCTS samples each, the
+ * budgets, checkpointing and pruning; see MapperConfig) plus the GA's
+ * own. The evaluator handed to GeneticMapper decides subtree
+ * memoization, so `incremental` and `subtreeCacheCap` are read by
+ * exploreSpace, not here; `checkpointEveryBatches` is tiling-only.
+ */
+struct GeneticConfig : MapperConfig
 {
-    int populationSize = 8;
-    int generations = 10;
+    GeneticConfig() = default;
+    explicit GeneticConfig(const MapperConfig& base) : MapperConfig(base) {}
+
+    /** Individuals kept as parents of the next generation. */
     int topK = 3;
+
+    /** Per-structural-gene mutation probability. */
     double mutationRate = 0.25;
-    int mctsSamplesPerIndividual = 40;
-
-    /** MCTS rollout batch size (see MctsTuner::setBatch). */
-    int mctsBatch = 8;
-
-    /** Worker threads when the mapper owns its pool; 0 means
-     *  ThreadPool::defaultThreadCount() (TILEFLOW_THREADS). */
-    int threads = 0;
-
-    uint64_t seed = 0x7ea51eafULL;
-
-    /** Wall-clock budget in ms (0 = unlimited). On expiry the search
-     *  returns best-so-far with `timedOut` set — never throws. */
-    int64_t timeBudgetMs = 0;
-
-    /** Cap on Evaluator::evaluate calls (0 = unlimited). Checked at
-     *  generation and rollout-batch boundaries; a batch in flight
-     *  completes, so the cap can be overshot by at most one batch per
-     *  concurrent tuner. */
-    int64_t maxEvaluations = 0;
-
-    /** External kill switch (nullable; must outlive run()). */
-    const CancellationToken* cancel = nullptr;
-
-    /** Checkpoint file ("" disables). run() resumes from a matching
-     *  checkpoint if one exists, else starts fresh and overwrites. */
-    std::string checkpointPath;
-
-    /** Completed generations between checkpoint writes. */
-    int checkpointEveryGens = 1;
 
     /** Pre-screen offspring with validateTree (cheap structural
      *  checks) and the lower-bound capacity screen before paying full
      *  evaluation. */
     bool prescreen = true;
 
-    /**
-     * Branch-and-bound screening in the per-individual tuners (see
-     * MctsTuner::setBoundPrune): candidates whose admissible lower
-     * bound cannot beat the generation-boundary best are discarded
-     * without full evaluation. Like `incremental`, deliberately NOT
-     * part of the checkpoint config hash: checkpoints written with
-     * either setting interoperate — but unlike `incremental` the
-     * flag IS part of the search trajectory, so flipping it across a
-     * kill/resume continues the run under the new setting rather
-     * than replaying the old one.
-     */
-    bool boundPrune = true;
-
     /** Resample attempts per offspring slot when pre-screening
      *  rejects a candidate; the last attempt is kept regardless. */
     int prescreenRetries = 4;
-
-    /** Emit an inform() progress line (best-so-far, evals/sec, cache
-     *  hit rate, deadline remaining) at most every this many
-     *  milliseconds, polled at generation boundaries (<= 0: off). */
-    int64_t progressIntervalMs = 0;
 };
 
 /** One evolved individual. */
@@ -125,48 +89,15 @@ struct Individual
     bool valid = false;
 };
 
-/** GA outcome. */
-struct GeneticResult
+/** GA outcome; `trace` holds one entry per generation. */
+struct GeneticResult : SearchStats
 {
     Individual best;
 
-    /** Best-so-far cycles after each generation (Fig. 9b/9c traces).
-     *  NaN for generations before the first valid individual. */
-    std::vector<double> trace;
-
-    /** Actual Evaluator::evaluate invocations (cache hits excluded). */
-    int evaluations = 0;
-
-    /** Candidates discarded by the branch-and-bound lower bound —
-     *  never fully evaluated, never counted in `evaluations`
-     *  (checkpoint-aware, like `evaluations`). */
-    uint64_t boundPruned = 0;
-
-    /** EvalCache counters for the run (checkpoint-aware: include the
-     *  pre-kill portion of a resumed run). */
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-
-    /** True when a budget / cancellation ended the run early;
-     *  `stopReason` says why. Best-so-far fields stay usable. */
-    bool timedOut = false;
-    std::string stopReason;
-
-    /** True when the run continued from an on-disk checkpoint. */
-    bool resumed = false;
-
-    /** Failed (throwing / NaN-poisoned) candidate evaluations, by
-     *  reason — runtime infeasibility, distinct from prescreen. */
-    FailureHistogram failureHistogram;
-
     /** Offspring rejected by the cheap validateTree pre-screen before
-     *  any evaluation was paid for. */
+     *  any evaluation was paid for (distinct from the runtime
+     *  infeasibility in `failureHistogram`). */
     uint64_t prescreenRejects = 0;
-
-    /** Wall-clock consumed by the search, checkpoint-aware: a resumed
-     *  run includes the pre-kill portion. This is the elapsed time the
-     *  time budget is charged against across kill/resume cycles. */
-    int64_t elapsedMs = 0;
 };
 
 /** The GA driver; composes with MctsTuner per individual. */
@@ -175,7 +106,8 @@ class GeneticMapper
   public:
     /**
      * `pool` / `cache` may be shared with other components; when null
-     * the mapper creates its own (pool sized by config.threads).
+     * the mapper creates its own (pool sized by config.threads, cache
+     * capped by config.evalCacheCap / cacheBytesCap).
      */
     GeneticMapper(const Evaluator& evaluator, const MappingSpace& space,
                   GeneticConfig config = {}, ThreadPool* pool = nullptr,
@@ -188,19 +120,6 @@ class GeneticMapper
     {
     }
 
-    /**
-     * Route candidate evaluations through the subtree-memoized path
-     * (nullptr: the plain evaluator), shared by every per-individual
-     * tuner. Crossover and mutation change a handful of structural
-     * genes, so offspring keep most of their parents' evaluated
-     * subtrees warm in the cache. Bit-identical to the plain path —
-     * the search trajectory and checkpoints do not depend on it.
-     */
-    void setIncremental(const IncrementalEvaluator* incremental)
-    {
-        incremental_ = incremental;
-    }
-
     GeneticResult run();
 
   private:
@@ -209,7 +128,6 @@ class GeneticMapper
     GeneticConfig config_;
     ThreadPool* pool_;
     EvalCache* cache_;
-    const IncrementalEvaluator* incremental_ = nullptr;
 };
 
 } // namespace tileflow

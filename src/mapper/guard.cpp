@@ -10,13 +10,10 @@
 
 namespace tileflow {
 
-namespace {
-
-template <typename EvaluatorT>
 CachedEval
-guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
-                    const std::vector<int64_t>& choices,
-                    const BoundPrune* prune)
+guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
+                const std::vector<int64_t>& choices,
+                const BoundPrune* prune)
 {
     // The single chokepoint every real (non-memoized) search
     // evaluation passes through, in both the GA and MCTS paths.
@@ -139,41 +136,6 @@ guardedEvaluateImpl(const EvaluatorT& evaluator, const MappingSpace& space,
         failed.add();
     }
     return out;
-}
-
-} // namespace
-
-CachedEval
-guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
-                const std::vector<int64_t>& choices,
-                const BoundPrune* prune)
-{
-    return guardedEvaluateImpl(evaluator, space, choices, prune);
-}
-
-CachedEval
-guardedEvaluate(const IncrementalEvaluator& evaluator,
-                const MappingSpace& space,
-                const std::vector<int64_t>& choices,
-                const BoundPrune* prune)
-{
-    return guardedEvaluateImpl(evaluator, space, choices, prune);
-}
-
-void
-mergeHistogram(FailureHistogram& into, const FailureHistogram& from)
-{
-    for (const auto& [reason, count] : from)
-        into[reason] += count;
-}
-
-uint64_t
-histogramTotal(const FailureHistogram& hist)
-{
-    uint64_t total = 0;
-    for (const auto& [reason, count] : hist)
-        total += count;
-    return total;
 }
 
 } // namespace tileflow

@@ -23,20 +23,15 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "analysis/evaluator.hpp"
-#include "analysis/incremental.hpp"
 #include "analysis/lowerbound.hpp"
 #include "mapper/encoding.hpp"
 #include "mapper/evalcache.hpp"
+#include "mapper/searchstats.hpp"
 
 namespace tileflow {
-
-/** Failure-reason histogram: reason string → occurrence count. */
-using FailureHistogram = std::map<std::string, uint64_t>;
 
 /**
  * Branch-and-bound context for guardedEvaluate's bound-first path.
@@ -65,26 +60,14 @@ struct BoundPrune
  * Build and evaluate `choices`, converting every throw and every
  * non-finite "valid" result into a tagged infeasible CachedEval.
  * Never throws (panic/abort excepted). `prune` (nullable) arms the
- * bound-first branch-and-bound screen described above.
+ * bound-first branch-and-bound screen described above. Whether
+ * `evaluator` memoizes subtrees never changes the verdict — the two
+ * paths are bit-identical — only the throughput.
  */
 CachedEval guardedEvaluate(const Evaluator& evaluator,
                            const MappingSpace& space,
                            const std::vector<int64_t>& choices,
                            const BoundPrune* prune = nullptr);
-
-/** Same guard around the subtree-memoized evaluation path. The two
- *  paths are bit-identical, so which one a search uses never changes
- *  its outcome — only its throughput. */
-CachedEval guardedEvaluate(const IncrementalEvaluator& evaluator,
-                           const MappingSpace& space,
-                           const std::vector<int64_t>& choices,
-                           const BoundPrune* prune = nullptr);
-
-/** Merge `from` into `into` (histogram accumulation). */
-void mergeHistogram(FailureHistogram& into, const FailureHistogram& from);
-
-/** Sum of all counts in a histogram. */
-uint64_t histogramTotal(const FailureHistogram& hist);
 
 } // namespace tileflow
 

@@ -2,57 +2,66 @@
 
 #include "common/logging.hpp"
 #include "common/threadpool.hpp"
+#include "mapper/genetic.hpp"
+#include "mapper/mcts.hpp"
 
 namespace tileflow {
+
+namespace {
+
+/** What one exploration runs on: the pool, both caches, and a copy of
+ *  the caller's evaluator with the subtree cache attached when
+ *  `config.incremental` is set. */
+struct SearchContext
+{
+    ThreadPool pool;
+    EvalCache cache;
+    SubtreeCache subtrees;
+    Evaluator evaluator;
+
+    SearchContext(const Evaluator& base, const MapperConfig& config)
+        : pool(config.threads > 0 ? size_t(config.threads) : 0),
+          cache(16, config.evalCacheCap, config.cacheBytesCap),
+          subtrees(16, config.subtreeCacheCap, config.cacheBytesCap),
+          evaluator(base)
+    {
+        if (config.incremental)
+            evaluator.setSubtreeCache(&subtrees);
+    }
+};
+
+/** Fill the best-mapping fields of `result` from a winning choice
+ *  vector, and the stats shared with the engine. */
+void
+finish(MapperResult& result, const SearchStats& stats,
+       const MappingSpace& space, bool found,
+       const std::vector<int64_t>& choices, double cycles)
+{
+    static_cast<SearchStats&>(result) = stats;
+    result.failedEvaluations = histogramTotal(result.failureHistogram);
+    if (found) {
+        result.found = true;
+        result.bestCycles = cycles;
+        result.bestChoices = choices;
+        result.bestTree = space.build(choices);
+    }
+}
+
+} // namespace
 
 MapperResult
 exploreSpace(const Evaluator& evaluator, const MappingSpace& space,
              const MapperConfig& config)
 {
-    GeneticConfig ga;
-    ga.generations = config.rounds;
-    ga.populationSize = config.population;
-    ga.mctsSamplesPerIndividual = config.tilingSamples;
-    ga.mctsBatch = config.mctsBatch;
-    ga.seed = config.seed;
-    ga.timeBudgetMs = config.timeBudgetMs;
-    ga.maxEvaluations = config.maxEvaluations;
-    ga.cancel = config.cancel;
-    ga.checkpointPath = config.checkpointPath;
-    ga.checkpointEveryGens = config.checkpointEveryRounds;
-    ga.progressIntervalMs = config.progressIntervalMs;
-    ga.boundPrune = config.boundPrune;
-
-    ThreadPool pool(config.threads > 0 ? size_t(config.threads) : 0);
-    EvalCache cache(16, config.evalCacheCap, config.cacheBytesCap);
-    SubtreeCache subtree_cache(16, config.subtreeCacheCap,
-                               config.cacheBytesCap);
-    const IncrementalEvaluator incremental(evaluator, subtree_cache);
-
-    GeneticMapper mapper(evaluator, space, ga, &pool, &cache);
-    if (config.incremental)
-        mapper.setIncremental(&incremental);
-    const GeneticResult ga_result = mapper.run();
+    SearchContext ctx(evaluator, config);
+    GeneticMapper mapper(ctx.evaluator, space, GeneticConfig(config),
+                         &ctx.pool, &ctx.cache);
+    const GeneticResult ga = mapper.run();
 
     MapperResult result(evaluator.workload());
-    result.trace = ga_result.trace;
-    result.evaluations = ga_result.evaluations;
-    result.boundPruned = ga_result.boundPruned;
-    result.cacheHits = ga_result.cacheHits;
-    result.cacheMisses = ga_result.cacheMisses;
-    result.timedOut = ga_result.timedOut;
-    result.stopReason = ga_result.stopReason;
-    result.resumed = ga_result.resumed;
-    result.failureHistogram = ga_result.failureHistogram;
-    result.failedEvaluations = histogramTotal(result.failureHistogram);
-    result.prescreenRejects = ga_result.prescreenRejects;
-    result.elapsedMs = ga_result.elapsedMs;
-    if (ga_result.best.valid) {
-        result.found = true;
-        result.bestCycles = ga_result.best.cycles;
-        result.bestChoices = ga_result.best.choices;
-        result.bestTree = space.build(ga_result.best.choices);
-    }
+    result.prescreenRejects = ga.prescreenRejects;
+    finish(result, ga, space, ga.best.valid, ga.best.choices,
+           ga.best.cycles);
     return result;
 }
 
@@ -61,24 +70,16 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
               int samples, uint64_t seed, const MapperConfig& config)
 {
     Rng rng(seed);
-    ThreadPool pool(config.threads > 0 ? size_t(config.threads) : 0);
-    EvalCache cache(16, config.evalCacheCap, config.cacheBytesCap);
-    SubtreeCache subtree_cache(16, config.subtreeCacheCap,
-                               config.cacheBytesCap);
-    const IncrementalEvaluator incremental(evaluator, subtree_cache);
-
+    SearchContext ctx(evaluator, config);
     const StopControl stop(Deadline::afterMs(config.timeBudgetMs),
                            config.cancel, config.maxEvaluations);
+    const LowerBoundEvaluator lower_bound(ctx.evaluator);
 
-    const LowerBoundEvaluator lower_bound(evaluator);
-
-    MctsTuner tuner(evaluator, space, rng);
-    if (config.incremental)
-        tuner.setIncremental(&incremental);
+    MctsTuner tuner(ctx.evaluator, space, rng);
     if (config.boundPrune)
         tuner.setBoundPrune(&lower_bound);
-    tuner.setPool(&pool);
-    tuner.setCache(&cache);
+    tuner.setPool(&ctx.pool);
+    tuner.setCache(&ctx.cache);
     tuner.setBatch(config.mctsBatch);
     tuner.setStop(&stop);
     tuner.setProgress(config.progressIntervalMs);
@@ -89,26 +90,8 @@ exploreTiling(const Evaluator& evaluator, const MappingSpace& space,
     const MctsResult tuned = tuner.tune(space.defaultChoices(), samples);
 
     MapperResult result(evaluator.workload());
-    result.trace = tuned.trace;
-    // Actual evaluator invocations — NOT `samples`: memoized repeats
-    // and the no-factor-knob early path (one evaluation) both made the
-    // old `= samples` accounting a lie.
-    result.evaluations = tuned.evaluations;
-    result.boundPruned = tuned.boundPruned;
-    result.cacheHits = tuned.cacheHits;
-    result.cacheMisses = tuned.cacheMisses;
-    result.timedOut = tuned.timedOut;
-    result.stopReason = tuned.stopReason;
-    result.resumed = tuned.resumed;
-    result.failureHistogram = tuned.failureHistogram;
-    result.failedEvaluations = histogramTotal(result.failureHistogram);
-    result.elapsedMs = tuned.elapsedMs;
-    if (tuned.found) {
-        result.found = true;
-        result.bestCycles = tuned.bestCycles;
-        result.bestChoices = tuned.bestChoices;
-        result.bestTree = space.build(tuned.bestChoices);
-    }
+    finish(result, tuned, space, tuned.found, tuned.bestChoices,
+           tuned.bestCycles);
     return result;
 }
 

@@ -27,9 +27,8 @@
 #include "common/stop.hpp"
 #include "mapper/encoding.hpp"
 #include "mapper/evalcache.hpp"
-#include "mapper/genetic.hpp"
 #include "mapper/guard.hpp"
-#include "mapper/mcts.hpp"
+#include "mapper/searchstats.hpp"
 
 namespace tileflow {
 
@@ -86,11 +85,12 @@ struct MapperConfig
     int64_t progressIntervalMs = 0;
 
     /**
-     * Evaluate candidates through the subtree-memoized incremental
-     * path (analysis/incremental.hpp). Bit-identical to the plain
-     * evaluator — search results and checkpoints are unaffected, so
-     * this knob is deliberately NOT part of the checkpoint config
-     * hash; it only trades memory for candidate throughput.
+     * Evaluate candidates with a SubtreeCache attached to (a copy of)
+     * the caller's Evaluator, memoizing per-subtree partials.
+     * Bit-identical to the plain evaluator — search results and
+     * checkpoints are unaffected, so this knob is deliberately NOT
+     * part of the checkpoint config hash; it only trades memory for
+     * candidate throughput.
      */
     bool incremental = true;
 
@@ -121,44 +121,14 @@ struct MapperConfig
     size_t cacheBytesCap = 0;
 };
 
-/** Exploration outcome. */
-struct MapperResult
+/** Exploration outcome; `trace` holds one entry per round (GA) or
+ *  per sample (tiling-only search). */
+struct MapperResult : SearchStats
 {
     AnalysisTree bestTree;
     std::vector<int64_t> bestChoices;
     double bestCycles = 0.0;
     bool found = false;
-
-    /** Best-so-far cycles per round; NaN until the first valid
-     *  mapping (never a DBL_MAX sentinel). */
-    std::vector<double> trace;
-
-    /** Actual Evaluator::evaluate invocations (== cache misses that
-     *  reached the evaluator; repeated samples are memoized). */
-    int evaluations = 0;
-
-    /** Candidates discarded by the branch-and-bound lower bound —
-     *  never fully evaluated, never counted in `evaluations`. */
-    uint64_t boundPruned = 0;
-
-    /** EvalCache counters for this exploration (a resumed run
-     *  includes the pre-kill portion). */
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-
-    /** True when a budget or cancellation ended the search early;
-     *  `stopReason` is "deadline", "cancelled" or "evaluation
-     *  budget". Best-so-far fields stay usable. */
-    bool timedOut = false;
-    std::string stopReason;
-
-    /** True when the search resumed from an on-disk checkpoint. */
-    bool resumed = false;
-
-    /** Candidate evaluations that threw or returned non-finite
-     *  results, keyed by failure reason. These are *search outcomes*
-     *  (the candidate scores as infeasible), not errors. */
-    FailureHistogram failureHistogram;
 
     /** Sum of failureHistogram counts. */
     uint64_t failedEvaluations = 0;
@@ -166,11 +136,6 @@ struct MapperResult
     /** Offspring rejected by the GA's cheap validateTree pre-screen
      *  (counted separately from runtime infeasibility). */
     uint64_t prescreenRejects = 0;
-
-    /** Wall clock consumed by the search, checkpoint-aware: a resumed
-     *  run includes the pre-kill portion, matching what the time
-     *  budget was charged with. */
-    int64_t elapsedMs = 0;
 
     explicit MapperResult(const Workload& workload)
         : bestTree(workload)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -18,14 +17,6 @@
 namespace tileflow {
 
 namespace {
-
-int64_t
-msSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 /** One node of the search tree: a prefix of factor decisions. */
 struct SearchNode
@@ -103,9 +94,7 @@ MctsResult
 MctsTuner::tune(const std::vector<int64_t>& base, int samples)
 {
     MctsResult result;
-
-    const auto run_start = std::chrono::steady_clock::now();
-    int64_t restored_elapsed_ms = 0;
+    RunLedger ledger(cache_);
 
     static Counter& batch_counter =
         MetricsRegistry::global().counter("mcts.batches");
@@ -115,13 +104,6 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         MetricsRegistry::global().histogram("mcts.batch_ns");
 
     const std::vector<size_t> factor_idx = space_->factorKnobs();
-    // Re-snapshotted after the restore block: a rejected checkpoint
-    // clears the cache, which also zeroes its counters.
-    uint64_t hits_before = cache_ ? cache_->hits() : 0;
-    uint64_t misses_before = cache_ ? cache_->misses() : 0;
-    // Pre-kill counter portion restored from a checkpoint.
-    uint64_t restored_hits = 0;
-    uint64_t restored_misses = 0;
 
     if (factor_idx.empty()) {
         // Nothing to tune: evaluate the base directly (once — not
@@ -137,9 +119,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         if (cached) {
             eval = *cached;
         } else {
-            eval = incremental_
-                       ? guardedEvaluate(*incremental_, *space_, base)
-                       : guardedEvaluate(*evaluator_, *space_, base);
+            eval = guardedEvaluate(*evaluator_, *space_, base);
             result.evaluations += 1;
             if (globalEvals_)
                 globalEvals_->fetch_add(1, std::memory_order_relaxed);
@@ -156,11 +136,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         } else {
             result.trace.push_back(kNaN);
         }
-        if (cache_) {
-            result.cacheHits = cache_->hits() - hits_before;
-            result.cacheMisses = cache_->misses() - misses_before;
-        }
-        result.elapsedMs = msSince(run_start);
+        ledger.settle(result);
         return result;
     }
 
@@ -211,24 +187,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
             restored.bestChoices.resize(size_t(nbest));
             for (auto& c : restored.bestChoices)
                 c = r->i64();
-            r->tag("trace");
-            const uint64_t ntrace = r->u64();
-            restored.trace.resize(size_t(ntrace));
-            for (auto& t : restored.trace)
-                t = r->d();
-            r->tag("evals");
-            restored.evaluations = int(r->i64());
-            // Written unconditionally (0 when pruning is off), so
-            // checkpoints interoperate across the boundPrune setting
-            // — which is deliberately NOT in the config hash.
-            r->tag("bpruned");
-            restored.boundPruned = r->u64();
-            r->tag("elapsedms");
-            const int64_t ckpt_elapsed_ms = r->i64();
-            r->tag("cachedelta");
-            restored_hits = r->u64();
-            restored_misses = r->u64();
-            bool tree_ok = ckptReadHistogram(*r, restored.failureHistogram);
+            bool tree_ok = ckptReadStats(*r, restored);
             r->tag("rng");
             const std::string rng_state = r->str();
             r->tag("tree");
@@ -243,7 +202,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                                  std::memory_order_relaxed);
                 best = restored_best;
                 done = int(restored_done);
-                restored_elapsed_ms = ckpt_elapsed_ms;
+                ledger.restore(result);
                 std::istringstream is(rng_state);
                 is >> rng_->engine();
                 if (globalEvals_) {
@@ -251,15 +210,10 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                         result.evaluations,
                         std::memory_order_relaxed);
                 }
-                ckptCreditRestoredMetrics(
-                    result.evaluations, result.failureHistogram,
-                    result.boundPruned, restored_hits, restored_misses,
-                    incremental_ != nullptr);
+                ckptCreditRestoredMetrics(result, *evaluator_);
             } else {
                 warn("mcts checkpoint '", ckptPath_,
                      "': truncated state; starting fresh");
-                restored_hits = 0;
-                restored_misses = 0;
                 if (cache_)
                     cache_->clear();
             }
@@ -269,11 +223,10 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
     // Snapshot after the restore (and its possible counter-resetting
     // clear); arm the stop predicate with only the remaining time
     // budget — the pre-kill elapsed wall clock is already spent.
-    hits_before = cache_ ? cache_->hits() : 0;
-    misses_before = cache_ ? cache_->misses() : 0;
+    ledger.snapshot();
     StopControl stop = stop_ ? *stop_ : StopControl();
-    if (restored_elapsed_ms > 0)
-        stop = stop.withElapsedCredit(restored_elapsed_ms);
+    if (ledger.restoredMs() > 0)
+        stop = stop.withElapsedCredit(ledger.restoredMs());
 
     auto save_checkpoint = [&]() {
         if (ckptPath_.empty())
@@ -289,23 +242,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         w.u64(result.bestChoices.size());
         for (int64_t c : result.bestChoices)
             w.i64(c);
-        w.tag("trace");
-        w.u64(result.trace.size());
-        for (double t : result.trace)
-            w.d(t);
-        w.tag("evals");
-        w.i64(result.evaluations);
-        w.tag("bpruned");
-        w.u64(result.boundPruned);
-        w.tag("elapsedms");
-        w.i64(restored_elapsed_ms + msSince(run_start));
-        w.tag("cachedelta");
-        w.u64(restored_hits + (cache_ ? cache_->hits() - hits_before
-                                      : 0));
-        w.u64(restored_misses + (cache_ ? cache_->misses() -
-                                              misses_before
-                                        : 0));
-        ckptWriteHistogram(w, result.failureHistogram);
+        ledger.settle(result);
+        ckptWriteStats(w, result);
         w.tag("rng");
         std::ostringstream os;
         os << rng_->engine();
@@ -435,12 +373,8 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         // search (see mapper/guard.hpp).
         auto evaluate_one = [&](size_t i) {
             PendingSample& sample = pending[to_evaluate[i]];
-            sample.eval =
-                incremental_
-                    ? guardedEvaluate(*incremental_, *space_,
-                                      sample.choices, prune)
-                    : guardedEvaluate(*evaluator_, *space_,
-                                      sample.choices, prune);
+            sample.eval = guardedEvaluate(*evaluator_, *space_,
+                                          sample.choices, prune);
         };
         if (pool_ && to_evaluate.size() > 1) {
             pool_->parallelFor(to_evaluate.size(), evaluate_one);
@@ -500,10 +434,9 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
 
         if (progress.due()) {
             const double secs =
-                std::max(1e-3, double(msSince(run_start)) / 1e3);
-            const uint64_t h = cache_ ? cache_->hits() - hits_before : 0;
-            const uint64_t m =
-                cache_ ? cache_->misses() - misses_before : 0;
+                std::max(1e-3, double(ledger.sessionMs()) / 1e3);
+            const uint64_t h = ledger.sessionHits();
+            const uint64_t m = ledger.sessionMisses();
             const int64_t left = stop.deadline().remainingMs();
             inform("progress: sample ", done, "/", samples, " best=",
                    result.found ? concat(uint64_t(best), " cycles")
@@ -526,13 +459,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
     tree_gauge.set(0.0); // the tree dies with this frame
     if (result.found)
         result.bestCycles = best;
-    if (cache_) {
-        result.cacheHits =
-            restored_hits + (cache_->hits() - hits_before);
-        result.cacheMisses =
-            restored_misses + (cache_->misses() - misses_before);
-    }
-    result.elapsedMs = restored_elapsed_ms + msSince(run_start);
+    ledger.settle(result);
     return result;
 }
 

@@ -19,7 +19,10 @@
  *
  * An optional EvalCache memoizes complete mappings, so resampled
  * leaves skip the tree build and analysis; `MctsResult.evaluations`
- * counts only actual Evaluator::evaluate invocations.
+ * counts only actual Evaluator::evaluate invocations. When the
+ * evaluator has a SubtreeCache attached, successive samples also share
+ * everything but the newly decided factor's spine — bit-identically,
+ * so the trajectory does not depend on it, only throughput does.
  *
  * Fault tolerance: every rollout is evaluated through the guarded
  * boundary (mapper/guard.hpp) — a throwing or NaN-poisoned evaluation
@@ -41,9 +44,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/lowerbound.hpp"
-
 #include "analysis/evaluator.hpp"
+#include "analysis/lowerbound.hpp"
 #include "common/rng.hpp"
 #include "common/stop.hpp"
 #include "common/threadpool.hpp"
@@ -53,54 +55,14 @@
 
 namespace tileflow {
 
-/** One sampled mapping and its score. */
-struct MctsSample
-{
-    std::vector<int64_t> choices;
-    double cycles = 0.0;
-    bool valid = false;
-};
-
-/** Outcome of one tuning run. */
-struct MctsResult
+/** Outcome of one tuning run; `trace` holds one entry per sample. */
+struct MctsResult : SearchStats
 {
     std::vector<int64_t> bestChoices;
 
     /** Meaningful only when `found`. */
     double bestCycles = 0.0;
     bool found = false;
-
-    /** Best-so-far cycles after each sample (Fig. 9a traces). NaN for
-     *  samples before the first valid mapping. */
-    std::vector<double> trace;
-
-    /** Actual Evaluator::evaluate invocations (cache hits excluded). */
-    int evaluations = 0;
-
-    /** Candidates discarded by the branch-and-bound lower bound —
-     *  never fully evaluated, never cached, never counted in
-     *  `evaluations` (checkpoint-aware, like `evaluations`). */
-    uint64_t boundPruned = 0;
-
-    /** EvalCache hits/misses charged to this run (checkpoint-aware:
-     *  includes the pre-kill portion of a resumed run). */
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-
-    /** True when a StopControl ended the run early; `stopReason` says
-     *  why ("deadline", "cancelled", "evaluation budget"). */
-    bool timedOut = false;
-    std::string stopReason;
-
-    /** True when the run continued from an on-disk checkpoint. */
-    bool resumed = false;
-
-    /** Failed (throwing / NaN-poisoned) samples, by reason. */
-    FailureHistogram failureHistogram;
-
-    /** Wall-clock consumed, checkpoint-aware: a resumed run includes
-     *  the pre-kill portion (what the time budget is charged with). */
-    int64_t elapsedMs = 0;
 };
 
 /** MCTS tuner for the factor knobs of a mapping space. */
@@ -123,19 +85,6 @@ class MctsTuner
     void setCache(EvalCache* cache) { cache_ = cache; }
 
     /**
-     * Route rollout evaluations through the subtree-memoized path
-     * (nullptr: the plain evaluator). Child expansion then reuses the
-     * parent prefix's evaluated subtrees: successive samples share
-     * everything but the newly decided factor's spine. Bit-identical
-     * to the plain path, so the search trajectory, checkpoints and
-     * results do not depend on this setting — only throughput does.
-     */
-    void setIncremental(const IncrementalEvaluator* incremental)
-    {
-        incremental_ = incremental;
-    }
-
-    /**
      * Arm branch-and-bound screening (nullptr disables): every
      * rollout is lower-bounded before full evaluation, and a
      * candidate that provably cannot beat the best-so-far — or that
@@ -145,8 +94,8 @@ class MctsTuner
      * run's own best-so-far), re-captured at each batch boundary on
      * the serial thread, so the trajectory stays bit-identical across
      * thread counts (the GA seeds `seed_best` with its
-     * generation-boundary best). Unlike `setIncremental`, pruning IS
-     * part of the search trajectory: pruned samples backpropagate a 0
+     * generation-boundary best). Unlike subtree memoization, pruning
+     * IS part of the search trajectory: pruned samples backpropagate a 0
      * reward where a full evaluation would have scored them.
      * `bound` must mirror the evaluator's workload/spec/options and
      * outlive tune().
@@ -217,7 +166,6 @@ class MctsTuner
     double exploration_;
     ThreadPool* pool_ = nullptr;
     EvalCache* cache_ = nullptr;
-    const IncrementalEvaluator* incremental_ = nullptr;
     const LowerBoundEvaluator* boundLb_ = nullptr;
     double boundSeed_ = std::numeric_limits<double>::infinity();
     int batch_ = 1;

@@ -173,18 +173,43 @@ TEST(Ckpt, CacheAndHistogramRoundTrip)
     hist["injected fault (seed 7)"] = 3;
     hist["non-finite or non-positive cycles"] = 1;
 
+    // The engines' shared accounting block; process-local fields
+    // (resumed, timedOut, stopReason) are not persisted.
+    SearchStats stats;
+    stats.trace = {std::nan(""), std::nan(""), 4096.0, 2048.5};
+    stats.evaluations = 168;
+    stats.boundPruned = 2188;
+    stats.cacheHits = 31;
+    stats.cacheMisses = 199;
+    stats.failureHistogram = hist;
+    stats.elapsedMs = 1234;
+
     const std::string path = ckptPath("cache.ckpt");
     CkptWriter w("test", 1);
     ckptWriteCache(w, cache);
     ckptWriteHistogram(w, hist);
+    ckptWriteStats(w, stats);
+    w.u64(0xfeed); // a token after the block still lines up
     ASSERT_TRUE(w.writeTo(path));
 
     auto r = CkptReader::open(path, "test", 1);
     ASSERT_TRUE(r.has_value());
     EvalCache back;
     FailureHistogram hist_back;
+    SearchStats stats_back;
     ASSERT_TRUE(ckptReadCache(*r, back));
     ASSERT_TRUE(ckptReadHistogram(*r, hist_back));
+    ASSERT_TRUE(ckptReadStats(*r, stats_back));
+    EXPECT_EQ(r->u64(), 0xfeedu);
+    ASSERT_TRUE(r->ok());
+
+    expectSameBits(stats_back.trace, stats.trace);
+    EXPECT_EQ(stats_back.evaluations, stats.evaluations);
+    EXPECT_EQ(stats_back.boundPruned, stats.boundPruned);
+    EXPECT_EQ(stats_back.cacheHits, stats.cacheHits);
+    EXPECT_EQ(stats_back.cacheMisses, stats.cacheMisses);
+    EXPECT_EQ(stats_back.failureHistogram, stats.failureHistogram);
+    EXPECT_EQ(stats_back.elapsedMs, stats.elapsedMs);
 
     EXPECT_EQ(back.size(), cache.size());
     EXPECT_EQ(hist_back, hist);

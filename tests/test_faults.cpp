@@ -16,7 +16,9 @@
 #include "common/stop.hpp"
 #include "dataflows/attention.hpp"
 #include "ir/shapes.hpp"
+#include "mapper/genetic.hpp"
 #include "mapper/mapper.hpp"
+#include "mapper/mcts.hpp"
 
 namespace tileflow {
 namespace {
@@ -367,9 +369,9 @@ TEST(Genetic, PrescreenRejectsStructurallyBrokenOffspring)
     const MappingSpace space = brokenStructureSpace(w, edge);
 
     GeneticConfig cfg;
-    cfg.generations = 6;
-    cfg.populationSize = 8;
-    cfg.mctsSamplesPerIndividual = 10;
+    cfg.rounds = 6;
+    cfg.population = 8;
+    cfg.tilingSamples = 10;
     cfg.mutationRate = 0.5;
     cfg.seed = 11;
 

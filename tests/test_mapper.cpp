@@ -7,15 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "arch/presets.hpp"
+#include "common/telemetry.hpp"
 #include "core/validate.hpp"
 #include "dataflows/attention.hpp"
 #include "dataflows/chain.hpp"
 #include "frontend/loader.hpp"
 #include "ir/shapes.hpp"
+#include "mapper/genetic.hpp"
 #include "mapper/mapper.hpp"
+#include "mapper/mcts.hpp"
 
 namespace tileflow {
 namespace {
@@ -185,9 +189,9 @@ TEST(Genetic, ExploresStructureAndConverges)
     const Evaluator model(w, edge);
     const MappingSpace space = makeAttentionSpace(w, edge);
     GeneticConfig cfg;
-    cfg.generations = 5;
-    cfg.populationSize = 6;
-    cfg.mctsSamplesPerIndividual = 20;
+    cfg.rounds = 5;
+    cfg.population = 6;
+    cfg.tilingSamples = 20;
     GeneticMapper ga(model, space, cfg);
     const GeneticResult r = ga.run();
     ASSERT_TRUE(r.best.valid);
@@ -283,6 +287,72 @@ TEST(Mapper, BitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(Mapper, IncrementalSettingLeavesSearchUnchanged)
+{
+    // MapperConfig::incremental only attaches a SubtreeCache to the
+    // search's evaluator. The memoized path is bit-identical to the
+    // plain one, so best mapping, trace and accounting must not move;
+    // only the evaluator-side counters say which path ran.
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionSpace(w, edge);
+    const MappingSpace tiling = makeAttentionTilingSpace(w, edge);
+    const MetricsRegistry& metrics = MetricsRegistry::global();
+
+    struct Run
+    {
+        MapperResult result;
+        uint64_t memoEvals; ///< analysis.incremental_evals delta
+        uint64_t plainEvals; ///< analysis.evaluations delta
+    };
+    auto run = [&](bool incremental, bool tiling_only) {
+        MapperConfig cfg;
+        cfg.threads = 1;
+        cfg.rounds = 4;
+        cfg.population = 6;
+        cfg.tilingSamples = 20;
+        cfg.seed = 1234;
+        cfg.incremental = incremental;
+        const uint64_t memo0 =
+            metrics.counterValue("analysis.incremental_evals");
+        const uint64_t plain0 = metrics.counterValue("analysis.evaluations");
+        MapperResult r = tiling_only
+                             ? exploreTiling(model, tiling, 200, 42u, cfg)
+                             : exploreSpace(model, space, cfg);
+        return Run{std::move(r),
+                   metrics.counterValue("analysis.incremental_evals") -
+                       memo0,
+                   metrics.counterValue("analysis.evaluations") - plain0};
+    };
+
+    for (const bool tiling_only : {false, true}) {
+        SCOPED_TRACE(tiling_only ? "exploreTiling" : "exploreSpace");
+        const Run on = run(true, tiling_only);
+        const Run off = run(false, tiling_only);
+        ASSERT_TRUE(on.result.found);
+        ASSERT_TRUE(off.result.found);
+        EXPECT_EQ(on.result.bestCycles, off.result.bestCycles);
+        EXPECT_EQ(on.result.bestChoices, off.result.bestChoices);
+        ASSERT_EQ(on.result.trace.size(), off.result.trace.size());
+        for (size_t i = 0; i < on.result.trace.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(on.result.trace[i]),
+                      std::bit_cast<uint64_t>(off.result.trace[i]))
+                << "trace index " << i;
+        }
+        EXPECT_GT(on.result.evaluations, 0);
+        EXPECT_EQ(on.result.evaluations, off.result.evaluations);
+        EXPECT_EQ(on.result.boundPruned, off.result.boundPruned);
+        EXPECT_EQ(on.result.cacheHits, off.result.cacheHits);
+        EXPECT_EQ(on.result.cacheMisses, off.result.cacheMisses);
+
+        EXPECT_GT(on.memoEvals, 0u);
+        EXPECT_EQ(on.plainEvals, 0u);
+        EXPECT_EQ(off.memoEvals, 0u);
+        EXPECT_GT(off.plainEvals, 0u);
+    }
+}
+
 TEST(Mcts, BatchedTuningDeterministicAcrossPoolSizes)
 {
     const Workload w = buildAttention(attentionShape("Bert-S"), false);
@@ -366,7 +436,7 @@ TEST(Mapper, NoFactorKnobPathCountsOneEvaluation)
 
 TEST(Mapper, GeneticNoFactorKnobAccountingIsReal)
 {
-    // Regression: the GA used to add mctsSamplesPerIndividual per
+    // Regression: the GA used to add tilingSamples per
     // individual regardless of what the tuner actually ran.
     const Workload w = buildAttention(attentionShape("Bert-S"), false);
     const ArchSpec edge = makeEdgeArch();

@@ -73,26 +73,6 @@ usage()
     return 2;
 }
 
-/** JSON string escape (reasons may carry quotes/control bytes). */
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 bool
 writeServeMetrics(const std::string& path, const BatchSummary& summary)
 {
@@ -394,7 +374,6 @@ main(int argc, char** argv)
             std::fprintf(stderr, "failed to write metrics to %s\n",
                          metrics_path.c_str());
     }
-    (void)jsonEscape; // reasons currently flow via the journal only
 
     // Batch completion AND clean shutdown both exit 0: job failures
     // are outcomes; only service failures are errors.
