@@ -1,6 +1,8 @@
 #include "analysis/datamovement.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "analysis/childgroup.hpp"
 #include "analysis/slice.hpp"
@@ -24,16 +26,59 @@ struct StepTraffic
         : childFill(num_children, 0.0), childDrain(num_children, 0.0)
     {
     }
+
+    void reset()
+    {
+        readBytes = 0.0;
+        writeBytes = 0.0;
+        std::fill(childFill.begin(), childFill.end(), 0.0);
+        std::fill(childDrain.begin(), childDrain.end(), 0.0);
+    }
 };
 
 /** Resident buffer entry of one (child, tensor). */
 struct Resident
 {
+    int child = 0;
+    TensorId tensor = -1;
     HyperRect rect;
     bool dirty = false;
 };
 
-using ResidentMap = std::map<std::pair<int, TensorId>, Resident>;
+/**
+ * The residents of all children, kept sorted by (child, tensor): the
+ * order in which the Seq eviction sweep accumulates drained bytes.
+ */
+struct ResidentTable
+{
+    std::vector<Resident> entries;
+    /** Scratch for the Seq sweep's ownership moves. */
+    std::vector<Resident> moves;
+
+    Resident* find(int child, TensorId tensor)
+    {
+        for (Resident& r : entries) {
+            if (r.child == child && r.tensor == tensor)
+                return &r;
+        }
+        return nullptr;
+    }
+
+    /** Insert or overwrite the entry of (r.child, r.tensor). */
+    void set(const Resident& r)
+    {
+        auto it = entries.begin();
+        while (it != entries.end() &&
+               (it->child < r.child ||
+                (it->child == r.child && it->tensor < r.tensor)))
+            ++it;
+        if (it != entries.end() && it->child == r.child &&
+            it->tensor == r.tensor)
+            *it = r;
+        else
+            entries.insert(it, r);
+    }
+};
 
 /** Relevance of a dim to an access (reduction dims revisit writes). */
 bool
@@ -49,27 +94,130 @@ accessRelevant(const Operator& op, const TensorAccess& access, DimId dim)
 }
 
 /**
- * How many executions of `node` actually move data for this access:
+ * How many executions of a node actually move data for this access:
  * ancestor temporal loops over dims the access does not touch repeat
  * the same slice, which stays buffered below (Timeloop-style reuse
  * across outer executions). Spatial loops always multiply — separate
- * instances hold separate copies.
+ * instances hold separate copies. `ancestor_loops` lists the loops of
+ * the node's ancestor Tiles, nearest ancestor first.
  */
 double
-relevantExecutions(const Node* node, const Operator& op,
-                   const TensorAccess& access)
+relevantExecutions(const std::vector<Loop>& ancestor_loops,
+                   const Operator& op, const TensorAccess& access)
 {
     double count = 1.0;
-    for (const Node* cursor = node->parent(); cursor != nullptr;
-         cursor = cursor->parent()) {
-        if (!cursor->isTile())
-            continue;
-        for (const Loop& loop : cursor->loops()) {
-            if (loop.isSpatial() || accessRelevant(op, access, loop.dim))
-                count *= double(loop.extent);
-        }
+    for (const Loop& loop : ancestor_loops) {
+        if (loop.isSpatial() || accessRelevant(op, access, loop.dim))
+            count *= double(loop.extent);
     }
     return count;
+}
+
+/**
+ * Which accesses a simulation pass processes. Retained accesses have
+ * step slices small enough for the destination buffer to keep across
+ * irrelevant-loop sweeps (phase-matched boundaries, relevant-loop
+ * weights); streamed accesses are too big to retain and are re-fetched
+ * every step (adjacent-step boundaries, uniform weights) — the
+ * "replacement every outer iteration" behaviour of Sec. 7.1.
+ */
+enum class PassKind { All, RetainedOnly, StreamedOnly };
+
+/**
+ * One access of one leaf of one (non-passthrough) child, with every
+ * value the simulation needs that does not depend on the step. Built
+ * once per Tile node; every pass and boundary iterates the same list.
+ */
+struct AccessSite
+{
+    const Node* leaf = nullptr;
+    const Operator* op = nullptr;
+    const TensorAccess* access = nullptr;
+    double elemBytes = 0.0;
+    /** The step slice is too large to retain (see PassKind). */
+    bool streamed = false;
+    /** Read of a tensor whose producer lives inside the child. */
+    bool producedInside = false;
+    /** Write whose data must leave the child (escapesChild). */
+    bool escapes = false;
+    /** Volume of the slice at the zero step; computed only where the
+     *  streamed test or the final write-back reads it. */
+    int64_t zeroVolume = 0;
+    /** relevantExecutions(); computed only where it is read: for
+     *  retained accesses outside conservative mode. */
+    double relevantExecs = 0.0;
+};
+
+/** A Tile node's access sites, grouped by child in child order. */
+struct TileSites
+{
+    std::vector<AccessSite> sites;
+    /** Per child, the [begin, end) range of its sites. */
+    std::vector<std::pair<size_t, size_t>> ranges;
+
+    bool childUses(size_t j, TensorId tensor) const
+    {
+        for (size_t i = ranges[j].first; i < ranges[j].second; ++i) {
+            if (sites[i].access->tensor == tensor)
+                return true;
+        }
+        return false;
+    }
+};
+
+TileSites
+buildSites(const Workload& workload, const StepGeometry& geom,
+           const ChildGroup& group, bool conservative,
+           int64_t stream_threshold)
+{
+    TileSites out;
+    const std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
+    std::vector<Loop> ancestor_loops;
+    for (const Node* cursor = geom.node()->parent(); cursor != nullptr;
+         cursor = cursor->parent()) {
+        if (cursor->isTile())
+            ancestor_loops.insert(ancestor_loops.end(),
+                                  cursor->loops().begin(),
+                                  cursor->loops().end());
+    }
+    for (const ChildInfo& child : group.children) {
+        const size_t begin = out.sites.size();
+        if (!child.passthrough) {
+            for (const Node* leaf : child.leaves) {
+                const Operator& op = workload.op(leaf->op());
+                for (const auto& access : op.accesses()) {
+                    AccessSite site;
+                    site.leaf = leaf;
+                    site.op = &op;
+                    site.access = &access;
+                    const int64_t dtype_bytes =
+                        dataTypeBytes(workload.tensor(access.tensor).dtype);
+                    site.elemBytes = double(dtype_bytes);
+                    if (access.isWrite)
+                        site.escapes =
+                            escapesChild(workload, access.tensor, child);
+                    else
+                        site.producedInside =
+                            producedInside(workload, access.tensor, child);
+                    if (stream_threshold > 0 ||
+                        (access.isWrite && site.escapes)) {
+                        site.zeroVolume =
+                            geom.slice(leaf, access, zero).volume();
+                    }
+                    site.streamed =
+                        stream_threshold > 0 &&
+                        4 * (site.zeroVolume * dtype_bytes) >
+                            stream_threshold;
+                    if (!conservative && !site.streamed)
+                        site.relevantExecs =
+                            relevantExecutions(ancestor_loops, op, access);
+                    out.sites.push_back(site);
+                }
+            }
+        }
+        out.ranges.emplace_back(begin, out.sites.size());
+    }
+    return out;
 }
 
 /**
@@ -84,146 +232,111 @@ relevantExecutions(const Node* node, const Operator& op,
  * conservative mode — used under Seq, whose evictions defeat
  * irrelevant-loop reuse).
  */
-/**
- * Which accesses a simulation pass processes. Retained accesses have
- * step slices small enough for the destination buffer to keep across
- * irrelevant-loop sweeps (phase-matched boundaries, relevant-loop
- * weights); streamed accesses are too big to retain and are re-fetched
- * every step (adjacent-step boundaries, uniform weights) — the
- * "replacement every outer iteration" behaviour of Sec. 7.1.
- */
-enum class PassKind { All, RetainedOnly, StreamedOnly };
-
 void
 simulateStep(const Workload& workload, const StepGeometry& geom,
-             const ChildGroup& group, const std::vector<int64_t>& idx,
-             ResidentMap& residents, StepTraffic* sink, int boundary,
-             bool conservative, PassKind pass, int64_t stream_threshold)
+             const ChildGroup& group, const TileSites& tile,
+             double executions,
+             const std::vector<int64_t>& idx, ResidentTable& residents,
+             StepTraffic* sink, int boundary, bool conservative,
+             PassKind pass)
 {
-    const double executions = double(executionCount(geom.node()));
     const double step_weight =
         (boundary < 0 ? 1.0 : double(geom.advances(size_t(boundary)))) *
         executions;
     const bool uniform = conservative || pass == PassKind::StreamedOnly;
-    auto weight_for = [&](const Operator& op, const TensorAccess& access) {
-        const double execs =
-            uniform ? executions
-                    : relevantExecutions(geom.node(), op, access);
+    auto weight_for = [&](const AccessSite& site) {
+        const double execs = uniform ? executions : site.relevantExecs;
         if (boundary < 0)
             return execs;
         if (uniform)
             return step_weight;
-        return double(geom.advancesFor(size_t(boundary), op, access)) *
+        return double(geom.advancesFor(size_t(boundary), *site.op,
+                                       *site.access)) *
                execs;
     };
-    std::vector<int64_t> zero_idx(geom.temporalLoops().size(), 0);
-    auto streamed = [&](const Node* leaf, const TensorAccess& access) {
-        if (stream_threshold <= 0)
-            return false;
-        const int64_t bytes =
-            geom.slice(leaf, access, zero_idx).volume() *
-            dataTypeBytes(workload.tensor(access.tensor).dtype);
-        return 4 * bytes > stream_threshold;
-    };
     for (size_t j = 0; j < group.children.size(); ++j) {
-        const ChildInfo& child = group.children[j];
-        if (child.passthrough)
+        if (group.children[j].passthrough)
             continue;
 
         if (group.binding == ScopeKind::Seq && group.children.size() > 1) {
             // Seq: children take the same buffer in turns. When child j
             // starts, other children's residents are evicted unless
             // child j consumes the same tensor (then ownership moves).
-            for (auto it = residents.begin(); it != residents.end();) {
-                if (it->first.first == int(j)) {
-                    ++it;
-                    continue;
-                }
-                const TensorId tensor = it->first.second;
-                bool used_by_j = false;
-                for (const Node* leaf : child.leaves) {
-                    const Operator& op = workload.op(leaf->op());
-                    for (const auto& access : op.accesses())
-                        used_by_j = used_by_j || access.tensor == tensor;
-                }
-                if (used_by_j) {
-                    residents[{int(j), tensor}] = it->second;
-                } else if (it->second.dirty && sink) {
+            // Moves are applied after the sweep; a later move of the
+            // same tensor overwrites an earlier one.
+            residents.moves.clear();
+            size_t kept = 0;
+            for (size_t i = 0; i < residents.entries.size(); ++i) {
+                const Resident& r = residents.entries[i];
+                if (r.child == int(j)) {
+                    residents.entries[kept++] = r;
+                } else if (tile.childUses(j, r.tensor)) {
+                    residents.moves.push_back(r);
+                    residents.moves.back().child = int(j);
+                } else if (r.dirty && sink) {
                     // Dirty eviction: write the displaced data upward.
                     const double bytes =
-                        step_weight * double(it->second.rect.volume()) *
+                        step_weight * double(r.rect.volume()) *
                         double(dataTypeBytes(
-                            workload.tensor(tensor).dtype));
+                            workload.tensor(r.tensor).dtype));
                     sink->writeBytes += bytes;
-                    sink->childDrain[size_t(it->first.first)] += bytes;
+                    sink->childDrain[size_t(r.child)] += bytes;
                 }
-                it = residents.erase(it);
             }
+            residents.entries.resize(kept);
+            for (const Resident& moved : residents.moves)
+                residents.set(moved);
         }
 
-        for (const Node* leaf : child.leaves) {
-            const Operator& op = workload.op(leaf->op());
-            for (const auto& access : op.accesses()) {
-                if (pass != PassKind::All &&
-                    streamed(leaf, access) !=
-                        (pass == PassKind::StreamedOnly)) {
-                    continue;
-                }
-                const TensorId tensor = access.tensor;
-                const double elem_bytes =
-                    double(dataTypeBytes(workload.tensor(tensor).dtype));
-                const HyperRect slice = geom.slice(leaf, access, idx);
-                auto key = std::make_pair(int(j), tensor);
+        for (size_t i = tile.ranges[j].first; i < tile.ranges[j].second;
+             ++i) {
+            const AccessSite& site = tile.sites[i];
+            if (pass != PassKind::All &&
+                site.streamed != (pass == PassKind::StreamedOnly)) {
+                continue;
+            }
+            // Locally produced data never crosses this level.
+            if (site.producedInside)
+                continue;
+            const TensorAccess& access = *site.access;
+            const TensorId tensor = access.tensor;
+            const HyperRect slice = geom.slice(site.leaf, access, idx);
+            Resident* resident = residents.find(int(j), tensor);
+            const HyperRect prev = resident ? resident->rect : HyperRect();
 
-                if (!access.isWrite) {
-                    // Locally produced data never crosses this level.
-                    if (producedInside(workload, tensor, child))
-                        continue;
-                    auto it = residents.find(key);
-                    const HyperRect prev =
-                        it == residents.end() ? HyperRect() : it->second.rect;
-                    if (sink) {
-                        const double bytes =
-                            weight_for(op, access) *
-                            double(slice.differenceVolume(prev)) *
-                            elem_bytes;
-                        sink->readBytes += bytes;
-                        sink->childFill[j] += bytes;
-                    }
-                    const bool same_rect =
-                        it != residents.end() && it->second.rect == slice;
-                    if (sink && it != residents.end() &&
-                        it->second.dirty && !same_rect) {
-                        // A read replacing a dirty resident with a
-                        // different slice displaces the written data —
-                        // it must drain upward like a Seq eviction, not
-                        // silently vanish.
-                        const double bytes = weight_for(op, access) *
-                                             double(prev.volume()) *
-                                             elem_bytes;
-                        sink->writeBytes += bytes;
-                        sink->childDrain[j] += bytes;
-                    }
-                    const bool dirty = it != residents.end() &&
-                                       it->second.dirty && same_rect;
-                    residents[key] = Resident{slice, dirty};
-                } else {
-                    auto it = residents.find(key);
-                    const HyperRect prev =
-                        it == residents.end() ? HyperRect() : it->second.rect;
-                    const bool escapes =
-                        escapesChild(workload, tensor, child);
-                    if (sink && escapes && it != residents.end() &&
-                        it->second.dirty) {
-                        const double bytes =
-                            weight_for(op, access) *
-                            double(prev.differenceVolume(slice)) *
-                            elem_bytes;
-                        sink->writeBytes += bytes;
-                        sink->childDrain[j] += bytes;
-                    }
-                    residents[key] = Resident{slice, true};
+            if (!access.isWrite) {
+                if (sink) {
+                    const double bytes =
+                        weight_for(site) *
+                        double(slice.differenceVolume(prev)) *
+                        site.elemBytes;
+                    sink->readBytes += bytes;
+                    sink->childFill[j] += bytes;
                 }
+                const bool same_rect = resident && resident->rect == slice;
+                if (sink && resident && resident->dirty && !same_rect) {
+                    // A read replacing a dirty resident with a
+                    // different slice displaces the written data —
+                    // it must drain upward like a Seq eviction, not
+                    // silently vanish.
+                    const double bytes = weight_for(site) *
+                                         double(prev.volume()) *
+                                         site.elemBytes;
+                    sink->writeBytes += bytes;
+                    sink->childDrain[j] += bytes;
+                }
+                const bool dirty = resident && resident->dirty && same_rect;
+                residents.set(Resident{int(j), tensor, slice, dirty});
+            } else {
+                if (sink && site.escapes && resident && resident->dirty) {
+                    const double bytes =
+                        weight_for(site) *
+                        double(prev.differenceVolume(slice)) *
+                        site.elemBytes;
+                    sink->writeBytes += bytes;
+                    sink->childDrain[j] += bytes;
+                }
+                residents.set(Resident{int(j), tensor, slice, true});
             }
         }
     }
@@ -259,130 +372,109 @@ DataMovementAnalyzer::tileImpl(const Node* node,
     const int level = node->memLevel();
     const double executions = double(executionCount(node));
 
-    {
-        // Seq's evictions defeat reuse across irrelevant loops, so it
-        // falls back to the paper's conservative adjacent-step deltas.
-        const bool conservative = group.binding == ScopeKind::Seq &&
-                                  group.children.size() > 1;
+    // Seq's evictions defeat reuse across irrelevant loops, so it
+    // falls back to the paper's conservative adjacent-step deltas.
+    const bool conservative =
+        group.binding == ScopeKind::Seq && group.children.size() > 1;
 
-        // When this node feeds the register level, retention is
-        // capacity-aware: accesses whose step slice is too large for
-        // the register file are *streamed* — re-fetched every step with
-        // no irrelevant-loop reuse (the over-estimation the paper
-        // itself reports in Sec. 7.1). Small slices are retained.
-        bool feeds_registers = true;
-        for (const ChildInfo& child : group.children)
-            feeds_registers = feeds_registers && child.level <= 0;
-        const int64_t stream_threshold =
-            (!conservative && feeds_registers && level >= 1)
-                ? spec_->level(0).capacityBytes
-                : 0;
+    // When this node feeds the register level, retention is
+    // capacity-aware: accesses whose step slice is too large for
+    // the register file are *streamed* — re-fetched every step with
+    // no irrelevant-loop reuse (the over-estimation the paper
+    // itself reports in Sec. 7.1). Small slices are retained.
+    bool feeds_registers = true;
+    for (const ChildInfo& child : group.children)
+        feeds_registers = feeds_registers && child.level <= 0;
+    const int64_t stream_threshold =
+        (!conservative && feeds_registers && level >= 1)
+            ? spec_->level(0).capacityBytes
+            : 0;
 
-        double load = 0.0;
-        double store = 0.0;
-        std::vector<double> child_fill(num_children, 0.0);
-        std::vector<double> child_drain(num_children, 0.0);
+    const TileSites tile =
+        buildSites(*workload_, geom, group, conservative, stream_threshold);
 
-        std::vector<PassKind> passes;
-        if (conservative || stream_threshold <= 0)
-            passes = {PassKind::All};
-        else
-            passes = {PassKind::RetainedOnly, PassKind::StreamedOnly};
+    double load = 0.0;
+    double store = 0.0;
+    std::vector<double> child_fill(num_children, 0.0);
+    std::vector<double> child_drain(num_children, 0.0);
 
-        std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
-        for (PassKind pass : passes) {
-            const bool adjacent =
-                conservative || pass == PassKind::StreamedOnly;
+    std::vector<PassKind> passes;
+    if (conservative || stream_threshold <= 0)
+        passes = {PassKind::All};
+    else
+        passes = {PassKind::RetainedOnly, PassKind::StreamedOnly};
 
-            // Initial (compulsory) step.
-            StepTraffic init(num_children);
-            ResidentMap residents;
-            simulateStep(*workload_, geom, group, zero, residents,
-                         &init, -1, conservative, pass,
-                         stream_threshold);
-            load += init.readBytes;
-            store += init.writeBytes;
-            for (size_t j = 0; j < num_children; ++j) {
-                child_fill[j] += init.childFill[j];
-                child_drain[j] += init.childDrain[j];
-            }
-
-            // One boundary type per temporal loop; contributions
-            // arrive pre-weighted by the advance counts. The
-            // compulsory-only mode skips this block entirely — the
-            // totals it returns must stay an in-order subsequence of
-            // the exact accumulation (see compulsoryTile).
-            for (size_t k = 0;
-                 !compulsory_only && k < geom.temporalLoops().size();
-                 ++k) {
-                if (geom.advances(k) == 0)
-                    continue;
-                StepTraffic boundary(num_children);
-                ResidentMap state;
-                simulateStep(*workload_, geom, group,
-                             geom.beforeAdvance(k, adjacent), state,
-                             nullptr, -1, conservative, pass,
-                             stream_threshold);
-                simulateStep(*workload_, geom, group,
-                             geom.afterAdvance(k), state, &boundary,
-                             int(k), conservative, pass,
-                             stream_threshold);
-                load += boundary.readBytes;
-                store += boundary.writeBytes;
-                for (size_t j = 0; j < num_children; ++j) {
-                    child_fill[j] += boundary.childFill[j];
-                    child_drain[j] += boundary.childDrain[j];
-                }
-            }
-        }
-
-        // Final write-back of the last resident slices of escaping
-        // written tensors (one per written access, repeated per
-        // execution that actually produced new data).
+    const std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
+    ResidentTable residents;
+    StepTraffic traffic(num_children);
+    auto add_traffic = [&]() {
+        load += traffic.readBytes;
+        store += traffic.writeBytes;
         for (size_t j = 0; j < num_children; ++j) {
-            const ChildInfo& child = group.children[j];
-            if (child.passthrough)
-                continue;
-            for (const Node* leaf : child.leaves) {
-                const Operator& op = workload_->op(leaf->op());
-                for (const auto& access : op.accesses()) {
-                    if (!access.isWrite ||
-                        !escapesChild(*workload_, access.tensor, child)) {
-                        continue;
-                    }
-                    const int64_t slice_bytes =
-                        geom.slice(leaf, access, zero).volume() *
-                        dataTypeBytes(
-                            workload_->tensor(access.tensor).dtype);
-                    const bool streamed = stream_threshold > 0 &&
-                                          4 * slice_bytes >
-                                              stream_threshold;
-                    const double execs =
-                        (conservative || streamed)
-                            ? executions
-                            : relevantExecutions(node, op, access);
-                    const double bytes =
-                        execs *
-                        double(geom.slice(leaf, access, zero).volume()) *
-                        double(dataTypeBytes(
-                            workload_->tensor(access.tensor).dtype));
-                    store += bytes;
-                    child_drain[j] += bytes;
-                }
-            }
+            child_fill[j] += traffic.childFill[j];
+            child_drain[j] += traffic.childDrain[j];
         }
+    };
+    for (PassKind pass : passes) {
+        const bool adjacent = conservative || pass == PassKind::StreamedOnly;
 
-        // All contributions arrive pre-scaled to whole-run totals.
-        DmNodePartial partial;
-        partial.loadBytes = load;
-        partial.storeBytes = store;
-        partial.childFill = std::move(child_fill);
-        partial.childDrain = std::move(child_drain);
-        partial.childLevels.reserve(num_children);
-        for (const ChildInfo& child : group.children)
-            partial.childLevels.push_back(child.level);
-        return partial;
+        // Initial (compulsory) step.
+        traffic.reset();
+        residents.entries.clear();
+        simulateStep(*workload_, geom, group, tile, executions, zero,
+                     residents, &traffic, -1, conservative, pass);
+        add_traffic();
+
+        // One boundary type per temporal loop; contributions arrive
+        // pre-weighted by the advance counts. The compulsory-only mode
+        // skips this block entirely — the totals it returns must stay
+        // an in-order subsequence of the exact accumulation (see
+        // compulsoryTile).
+        for (size_t k = 0;
+             !compulsory_only && k < geom.temporalLoops().size(); ++k) {
+            if (geom.advances(k) == 0)
+                continue;
+            traffic.reset();
+            residents.entries.clear();
+            simulateStep(*workload_, geom, group, tile, executions,
+                         geom.beforeAdvance(k, adjacent), residents,
+                         nullptr, -1, conservative, pass);
+            simulateStep(*workload_, geom, group, tile, executions,
+                         geom.afterAdvance(k), residents, &traffic, int(k),
+                         conservative, pass);
+            add_traffic();
+        }
     }
+
+    // Final write-back of the last resident slices of escaping written
+    // tensors (one per written access, repeated per execution that
+    // actually produced new data).
+    for (size_t j = 0; j < num_children; ++j) {
+        for (size_t i = tile.ranges[j].first; i < tile.ranges[j].second;
+             ++i) {
+            const AccessSite& site = tile.sites[i];
+            if (!site.access->isWrite || !site.escapes)
+                continue;
+            const double execs = (conservative || site.streamed)
+                                     ? executions
+                                     : site.relevantExecs;
+            const double bytes =
+                execs * double(site.zeroVolume) * site.elemBytes;
+            store += bytes;
+            child_drain[j] += bytes;
+        }
+    }
+
+    // All contributions arrive pre-scaled to whole-run totals.
+    DmNodePartial partial;
+    partial.loadBytes = load;
+    partial.storeBytes = store;
+    partial.childFill = std::move(child_fill);
+    partial.childDrain = std::move(child_drain);
+    partial.childLevels.reserve(num_children);
+    for (const ChildInfo& child : group.children)
+        partial.childLevels.push_back(child.level);
+    return partial;
 }
 
 DataMovementResult

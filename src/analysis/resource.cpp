@@ -1,7 +1,7 @@
 #include "analysis/resource.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "analysis/childgroup.hpp"
 #include "analysis/slice.hpp"
@@ -117,75 +117,65 @@ stepFootprint(const Workload& workload, const Node* tile,
     // the per-instance share is what must fit.
     const StepGeometry geom(workload, tile,
                             /*include_node_spatial=*/tile->memLevel() == 0);
+    const ChildGroup group = childGroupOf(tile);
+    const std::vector<int64_t> zero(geom.temporalLoops().size(), 0);
 
-    ScopeKind binding = ScopeKind::Seq;
-    std::vector<const Node*> children;
-    if (tile->numChildren() == 1 && tile->child(0)->isScope()) {
-        binding = tile->child(0)->scopeKind();
-        for (const auto& child : tile->child(0)->children())
-            children.push_back(child.get());
-    } else {
-        for (const auto& child : tile->children())
-            children.push_back(child.get());
-    }
-
-    std::vector<int64_t> zero;
-    for (const Loop& loop : tile->loops()) {
-        if (loop.isTemporal())
-            zero.push_back(0);
-    }
+    // One child's accesses sorted by tensor, and the slices of the
+    // tensor being summed; both reused across children.
+    struct Site
+    {
+        TensorId tensor;
+        const Node* leaf;
+        const TensorAccess* access;
+    };
+    std::vector<Site> sites;
+    std::vector<HyperRect> rects;
 
     int64_t total = 0;
-    for (const Node* child : children) {
-        if (subtreeLevel(child) >= tile->memLevel())
+    for (const ChildInfo& child : group.children) {
+        if (child.passthrough)
             continue;
-        const std::vector<const Node*> leaves = child->opLeaves();
-
-        // A tensor only occupies this staging level if it crosses the
-        // child's boundary: produced elsewhere, or consumed/needed
-        // outside the child. Intermediates living entirely inside the
-        // child are staged in its own deeper buffers.
-        auto crosses_boundary = [&](TensorId tensor) {
-            const OpId producer = workload.producerOf(tensor);
-            bool produced_inside = false;
-            for (const Node* leaf : leaves)
-                produced_inside |= producer >= 0 && leaf->op() == producer;
-            if (!produced_inside)
-                return true; // loaded from above
-            const auto consumers = workload.consumersOf(tensor);
-            if (consumers.empty())
-                return true; // terminal output, written upward
-            for (OpId consumer : consumers) {
-                bool inside = false;
-                for (const Node* leaf : leaves)
-                    inside |= leaf->op() == consumer;
-                if (!inside)
-                    return true;
-            }
-            return false;
-        };
-
-        // Dedupe multiple accesses of one tensor inside the child by
-        // taking the exact union volume of their slices (a bounding box
-        // would bill the gaps between disjoint or L-shaped slices as
-        // staged bytes).
-        std::map<TensorId, std::vector<HyperRect>> per_tensor;
-        for (const Node* leaf : leaves) {
-            const Operator& op = workload.op(leaf->op());
-            for (const auto& access : op.accesses()) {
-                if (!crosses_boundary(access.tensor))
-                    continue;
-                per_tensor[access.tensor].push_back(
-                    geom.slice(leaf, access, zero));
-            }
+        sites.clear();
+        for (const Node* leaf : child.leaves) {
+            for (const auto& access : workload.op(leaf->op()).accesses())
+                sites.push_back(Site{access.tensor, leaf, &access});
         }
+        // Order within one tensor does not matter: the union volume and
+        // the largest slice are both order-independent.
+        std::sort(sites.begin(), sites.end(),
+                  [](const Site& a, const Site& b) {
+                      return a.tensor < b.tensor;
+                  });
+
         int64_t child_bytes = 0;
-        for (const auto& [tensor, rects] : per_tensor) {
-            // In exact mode, the union volume of the slices; the
-            // lower-bound mode takes the largest single slice instead
-            // (the union contains each slice, so this is an exact
-            // integer lower bound at O(rects) instead of the union's
-            // inclusion-exclusion cost).
+        for (size_t i = 0; i < sites.size();) {
+            const TensorId tensor = sites[i].tensor;
+            size_t end = i;
+            while (end < sites.size() && sites[end].tensor == tensor)
+                ++end;
+            const size_t first = i;
+            i = end;
+
+            // A tensor only occupies this staging level if it crosses
+            // the child's boundary: produced elsewhere, or
+            // consumed/needed outside the child. Intermediates living
+            // entirely inside the child are staged in its own deeper
+            // buffers.
+            if (producedInside(workload, tensor, child) &&
+                !escapesChild(workload, tensor, child))
+                continue;
+            rects.clear();
+            for (size_t k = first; k < end; ++k)
+                rects.push_back(
+                    geom.slice(sites[k].leaf, *sites[k].access, zero));
+
+            // Dedupe multiple accesses of one tensor inside the child by
+            // taking the exact union volume of their slices (a bounding
+            // box would bill the gaps between disjoint or L-shaped
+            // slices as staged bytes). The lower-bound mode takes the
+            // largest single slice instead (the union contains each
+            // slice, so this is an exact integer lower bound at O(rects)
+            // instead of the union's inclusion-exclusion cost).
             int64_t volume = 0;
             if (exact) {
                 volume = unionVolume(rects);
@@ -196,7 +186,7 @@ stepFootprint(const Workload& workload, const Node* tile,
             child_bytes +=
                 volume * dataTypeBytes(workload.tensor(tensor).dtype);
         }
-        if (binding == ScopeKind::Seq && children.size() > 1)
+        if (group.binding == ScopeKind::Seq && group.children.size() > 1)
             total = std::max(total, child_bytes);
         else
             total += child_bytes;

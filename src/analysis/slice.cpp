@@ -1,6 +1,8 @@
 #include "analysis/slice.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/logging.hpp"
 #include "common/telemetry.hpp"
@@ -32,16 +34,36 @@ StepGeometry::StepGeometry(const Workload& workload, const Node* node,
         }
     }
 
-    // unit(d) = spatial extent at this node times the largest d-span of
-    // any child subtree (always including spatial: temporal steps
-    // advance past all spatial instances).
-    for (size_t d = 0; d < num_dims; ++d) {
-        int64_t child_span = 1;
-        for (const auto& child : node->children())
-            child_span = std::max(child_span,
-                                  subtreeSpan(child.get(), DimId(d)));
-        units_[d] = full_spatial[d] * child_span;
+    // One pass over the leaves below the node computes both:
+    //  - unit(d) = spatial extent at this node times the largest d-span
+    //    of any child subtree (always including spatial: temporal steps
+    //    advance past all spatial instances);
+    //  - per leaf, the span below the node: loops on the path from the
+    //    node's child down to the leaf (pathSpan from the node includes
+    //    the node's own loops, so divide those back out), times the
+    //    node's spatial extent.
+    leaves_ = node->opLeaves();
+    leafSpans_.resize(leaves_.size() * num_dims);
+    std::vector<int64_t> child_span(num_dims);
+    for (size_t i = 0; i < leaves_.size(); ++i) {
+        const Node* leaf = leaves_[i];
+        const Node* child = leaf;
+        while (child->parent() != node)
+            child = child->parent();
+        pathSpans(child, leaf, child_span);
+        for (size_t d = 0; d < num_dims; ++d)
+            units_[d] = std::max(units_[d], child_span[d]);
+
+        const std::span<int64_t> below(leafSpans_.data() + i * num_dims,
+                                       num_dims);
+        pathSpans(node, leaf, below);
+        for (const Loop& loop : node->loops())
+            below[size_t(loop.dim)] /= loop.extent;
+        for (size_t d = 0; d < num_dims; ++d)
+            below[d] *= spatialSpan_[d];
     }
+    for (size_t d = 0; d < num_dims; ++d)
+        units_[d] = full_spatial[d] * units_[d];
 }
 
 HyperRect
@@ -57,27 +79,31 @@ StepGeometry::slice(const Node* leaf, const TensorAccess& access,
                     const std::vector<int64_t>& temporal_idx,
                     const std::vector<int64_t>& dim_base) const
 {
-    const size_t num_dims = workload_->dims().size();
-    std::vector<int64_t> base(num_dims, 0);
-    if (!dim_base.empty()) {
+    const size_t num_dims = units_.size();
+    const auto found = std::find(leaves_.begin(), leaves_.end(), leaf);
+    if (found == leaves_.end())
+        panic("StepGeometry::slice: leaf is not below the node");
+    const std::span<const int64_t> span(
+        leafSpans_.data() + size_t(found - leaves_.begin()) * num_dims,
+        num_dims);
+
+    // Per-dim base offsets; on the stack for every workload this
+    // repository ships, on the heap past kStackDims dims.
+    constexpr size_t kStackDims = 32;
+    std::array<int64_t, kStackDims> stack_base;
+    std::vector<int64_t> heap_base;
+    int64_t* base = stack_base.data();
+    if (num_dims > kStackDims) {
+        heap_base.resize(num_dims);
+        base = heap_base.data();
+    }
+    if (dim_base.empty()) {
+        std::fill(base, base + num_dims, 0);
+    } else {
         if (dim_base.size() != num_dims)
             panic("StepGeometry::slice: dim_base rank mismatch");
-        base = dim_base;
+        std::copy(dim_base.begin(), dim_base.end(), base);
     }
-    std::vector<int64_t> span(num_dims, 1);
-
-    // Span below the node: loops on the path from the node's child down
-    // to the leaf (pathSpan from the node includes the node's own loops,
-    // so divide those back out), times the node's spatial extent.
-    for (size_t d = 0; d < num_dims; ++d) {
-        int64_t below = pathSpan(node_, leaf, DimId(d));
-        for (const Loop& loop : node_->loops()) {
-            if (loop.dim == DimId(d))
-                below /= loop.extent;
-        }
-        span[d] = below * spatialSpan_[d];
-    }
-
     for (size_t k = 0; k < temporal_.size(); ++k) {
         const Loop& loop = temporal_[k];
         base[size_t(loop.dim)] +=
@@ -85,7 +111,8 @@ StepGeometry::slice(const Node* leaf, const TensorAccess& access,
     }
 
     const Operator& op = workload_->op(leaf->op());
-    return op.sliceOf(access, base, span);
+    return op.sliceOf(access, std::span<const int64_t>(base, num_dims),
+                      span);
 }
 
 std::vector<int64_t>

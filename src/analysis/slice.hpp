@@ -115,6 +115,11 @@ class StepGeometry
     std::vector<Loop> temporal_;
     std::vector<int64_t> units_;        // per workload dim
     std::vector<int64_t> spatialSpan_;  // per workload dim, at this node
+    // The Op leaves below the node, and per leaf the span of every
+    // workload dim below the node (leafSpans_[leaf * dims + dim]),
+    // computed once at construction.
+    std::vector<const Node*> leaves_;
+    std::vector<int64_t> leafSpans_;
 };
 
 } // namespace tileflow

@@ -94,15 +94,19 @@ std::vector<const Node*>
 Node::opLeaves() const
 {
     std::vector<const Node*> leaves;
-    if (isOp()) {
-        leaves.push_back(this);
-        return leaves;
-    }
-    for (const auto& child : children_) {
-        auto sub = child->opLeaves();
-        leaves.insert(leaves.end(), sub.begin(), sub.end());
-    }
+    collectOpLeaves(leaves);
     return leaves;
+}
+
+void
+Node::collectOpLeaves(std::vector<const Node*>& out) const
+{
+    if (isOp()) {
+        out.push_back(this);
+        return;
+    }
+    for (const auto& child : children_)
+        child->collectOpLeaves(out);
 }
 
 std::vector<OpId>

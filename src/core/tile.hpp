@@ -103,6 +103,9 @@ class Node
   private:
     Node() = default;
 
+    /** Append this subtree's Op leaves to `out`, in execution order. */
+    void collectOpLeaves(std::vector<const Node*>& out) const;
+
     NodeType type_ = NodeType::Tile;
     int memLevel_ = 0;
     std::vector<Loop> loops_;

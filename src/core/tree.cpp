@@ -1,5 +1,6 @@
 #include "core/tree.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/hash.hpp"
@@ -65,13 +66,28 @@ pathSpan(const Node* subtree, const Node* leaf, DimId dim)
     panic("pathSpan: leaf is not inside the given subtree");
 }
 
-int64_t
-subtreeSpan(const Node* subtree, DimId dim)
+void
+pathSpans(const Node* subtree, const Node* leaf, std::span<int64_t> spans)
 {
-    int64_t best = 1;
-    for (const Node* leaf : subtree->opLeaves())
-        best = std::max(best, pathSpan(subtree, leaf, dim));
-    return best;
+    if (!leaf->isOp())
+        panic("pathSpans: leaf argument must be an Op node");
+    std::fill(spans.begin(), spans.end(), 1);
+    for (const Node* cursor = leaf; cursor != nullptr;
+         cursor = cursor->parent()) {
+        if (cursor->isTile()) {
+            for (const auto& loop : cursor->loops()) {
+                if (loop.dim < 0 || size_t(loop.dim) >= spans.size())
+                    panic("pathSpans: loop dim ", loop.dim,
+                          " outside the workload's ", spans.size(),
+                          " dims");
+                int64_t& span = spans[size_t(loop.dim)];
+                span = mulSat(span, loop.extent);
+            }
+        }
+        if (cursor == subtree)
+            return;
+    }
+    panic("pathSpans: leaf is not inside the given subtree");
 }
 
 int64_t

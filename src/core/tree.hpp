@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,8 +63,13 @@ class AnalysisTree
  */
 int64_t pathSpan(const Node* subtree, const Node* leaf, DimId dim);
 
-/** Max pathSpan over all Op leaves in the subtree. */
-int64_t subtreeSpan(const Node* subtree, DimId dim);
+/**
+ * pathSpan for every dim in one walk: spans[d] = pathSpan(subtree,
+ * leaf, d), with the same saturating products. `spans` has one entry
+ * per workload dim.
+ */
+void pathSpans(const Node* subtree, const Node* leaf,
+               std::span<int64_t> spans);
 
 /**
  * Number of times `node` executes in total: the product of temporal

@@ -1,7 +1,6 @@
 #include "core/validate.hpp"
 
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -34,8 +33,9 @@ visit(const Workload& workload, const ArchSpec* spec, const Node* node,
                         concat("tile level L", level,
                                " is above its parent tile L",
                                parent_level));
-        std::set<std::pair<DimId, bool>> seen;
-        for (const Loop& loop : node->loops()) {
+        const std::vector<Loop>& loops = node->loops();
+        for (size_t i = 0; i < loops.size(); ++i) {
+            const Loop& loop = loops[i];
             if (loop.dim < 0 ||
                 size_t(loop.dim) >= workload.dims().size()) {
                 diags.error("V302", kNoLoc,
@@ -47,8 +47,11 @@ visit(const Workload& workload, const ArchSpec* spec, const Node* node,
                 diags.error("V302", kNoLoc,
                             concat("loop over dim ", loop.dim,
                                    " has extent ", loop.extent));
-            auto key = std::make_pair(loop.dim, loop.isSpatial());
-            if (!seen.insert(key).second)
+            bool repeated = false;
+            for (size_t j = 0; j < i; ++j)
+                repeated = repeated || (loops[j].dim == loop.dim &&
+                                        loops[j].kind == loop.kind);
+            if (repeated)
                 diags.error("V302", kNoLoc,
                             concat("dim '", workload.dim(loop.dim).name,
                                    "' appears twice with the same kind "

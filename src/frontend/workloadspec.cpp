@@ -195,6 +195,14 @@ class WorkloadParser
             lex_.next();
             tensor.dtype = DataType::Fp32;
         }
+        if (tensor.rank() > HyperRect::kMaxRank) {
+            diags_.error("W512", name.loc,
+                         concat("tensor ", quoted(name.text), " has rank ",
+                                tensor.rank(), "; at most ",
+                                HyperRect::kMaxRank,
+                                " dimensions are supported"));
+            return;
+        }
         if (workload_.findTensor(name.text) >= 0) {
             diags_.error("W504", name.loc,
                          concat("duplicate tensor ",

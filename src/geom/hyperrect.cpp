@@ -8,27 +8,38 @@
 
 namespace tileflow {
 
-HyperRect::HyperRect(std::vector<int64_t> begins, std::vector<int64_t> ends)
-    : begins_(std::move(begins)), ends_(std::move(ends))
+HyperRect::HyperRect(size_t rank) : rank_(rank)
 {
-    if (begins_.size() != ends_.size())
-        panic("HyperRect: begins/ends rank mismatch (", begins_.size(),
-              " vs ", ends_.size(), ")");
+    if (rank > kMaxRank)
+        fatal("HyperRect: rank ", rank, " exceeds the supported maximum ",
+              kMaxRank);
+}
+
+HyperRect::HyperRect(std::span<const int64_t> begins,
+                     std::span<const int64_t> ends)
+    : HyperRect(begins.size())
+{
+    if (begins.size() != ends.size())
+        panic("HyperRect: begins/ends rank mismatch (", begins.size(),
+              " vs ", ends.size(), ")");
+    std::copy(begins.begin(), begins.end(), begins_.begin());
+    std::copy(ends.begin(), ends.end(), ends_.begin());
 }
 
 HyperRect
 HyperRect::fromExtents(const std::vector<int64_t>& extents)
 {
-    std::vector<int64_t> begins(extents.size(), 0);
-    return HyperRect(std::move(begins), extents);
+    HyperRect rect(extents.size());
+    std::copy(extents.begin(), extents.end(), rect.ends_.begin());
+    return rect;
 }
 
 bool
 HyperRect::empty() const
 {
-    if (begins_.empty())
+    if (rank_ == 0)
         return true;
-    for (size_t d = 0; d < begins_.size(); ++d) {
+    for (size_t d = 0; d < rank_; ++d) {
         if (ends_[d] <= begins_[d])
             return true;
     }
@@ -45,7 +56,7 @@ HyperRect::volume() const
     // the first wrap instead of silently corrupting data-movement
     // volumes on large fused workloads.
     __int128 vol = 1;
-    for (size_t d = 0; d < begins_.size(); ++d) {
+    for (size_t d = 0; d < rank_; ++d) {
         vol *= __int128(ends_[d] - begins_[d]);
         // Overflow here is a property of the (possibly user-supplied)
         // problem sizes, not an internal invariant violation, so it is
@@ -65,15 +76,14 @@ HyperRect::intersect(const HyperRect& other) const
     if (rank() != other.rank())
         panic("HyperRect::intersect: rank mismatch (", rank(), " vs ",
               other.rank(), ")");
-    std::vector<int64_t> begins(rank());
-    std::vector<int64_t> ends(rank());
-    for (size_t d = 0; d < rank(); ++d) {
-        begins[d] = std::max(begins_[d], other.begins_[d]);
-        ends[d] = std::min(ends_[d], other.ends_[d]);
-        if (ends[d] <= begins[d])
+    HyperRect out(rank_);
+    for (size_t d = 0; d < rank_; ++d) {
+        out.begins_[d] = std::max(begins_[d], other.begins_[d]);
+        out.ends_[d] = std::min(ends_[d], other.ends_[d]);
+        if (out.ends_[d] <= out.begins_[d])
             return HyperRect();
     }
-    return HyperRect(std::move(begins), std::move(ends));
+    return out;
 }
 
 int64_t
@@ -91,13 +101,12 @@ HyperRect::boundingUnion(const HyperRect& other) const
         return *this;
     if (rank() != other.rank())
         panic("HyperRect::boundingUnion: rank mismatch");
-    std::vector<int64_t> begins(rank());
-    std::vector<int64_t> ends(rank());
-    for (size_t d = 0; d < rank(); ++d) {
-        begins[d] = std::min(begins_[d], other.begins_[d]);
-        ends[d] = std::max(ends_[d], other.ends_[d]);
+    HyperRect out(rank_);
+    for (size_t d = 0; d < rank_; ++d) {
+        out.begins_[d] = std::min(begins_[d], other.begins_[d]);
+        out.ends_[d] = std::max(ends_[d], other.ends_[d]);
     }
-    return HyperRect(std::move(begins), std::move(ends));
+    return out;
 }
 
 HyperRect
@@ -107,13 +116,12 @@ HyperRect::shifted(const std::vector<int64_t>& offset) const
         return *this;
     if (offset.size() != rank())
         panic("HyperRect::shifted: offset rank mismatch");
-    std::vector<int64_t> begins(rank());
-    std::vector<int64_t> ends(rank());
-    for (size_t d = 0; d < rank(); ++d) {
-        begins[d] = begins_[d] + offset[d];
-        ends[d] = ends_[d] + offset[d];
+    HyperRect out(rank_);
+    for (size_t d = 0; d < rank_; ++d) {
+        out.begins_[d] = begins_[d] + offset[d];
+        out.ends_[d] = ends_[d] + offset[d];
     }
-    return HyperRect(std::move(begins), std::move(ends));
+    return out;
 }
 
 bool
@@ -135,19 +143,37 @@ HyperRect::operator==(const HyperRect& other) const
 {
     if (empty() && other.empty())
         return true;
-    return begins_ == other.begins_ && ends_ == other.ends_;
+    if (rank_ != other.rank_)
+        return false;
+    return std::equal(begins_.begin(), begins_.begin() + rank_,
+                      other.begins_.begin()) &&
+           std::equal(ends_.begin(), ends_.begin() + rank_,
+                      other.ends_.begin());
 }
 
 int64_t
 unionVolume(const std::vector<HyperRect>& rects)
 {
+    // One non-empty rectangle (the common case: a tensor touched by a
+    // single access) is its own union; skip the grid entirely.
+    size_t num_live = 0;
+    const HyperRect* only = nullptr;
+    for (const HyperRect& r : rects) {
+        if (!r.empty()) {
+            ++num_live;
+            only = &r;
+        }
+    }
+    if (num_live == 0)
+        return 0;
+    if (num_live == 1)
+        return only->volume();
+
     std::vector<const HyperRect*> live;
     for (const HyperRect& r : rects) {
         if (!r.empty())
             live.push_back(&r);
     }
-    if (live.empty())
-        return 0;
     const size_t rank = live.front()->rank();
     for (const HyperRect* r : live) {
         if (r->rank() != rank)

@@ -15,8 +15,10 @@
 #ifndef TILEFLOW_GEOM_HYPERRECT_HPP
 #define TILEFLOW_GEOM_HYPERRECT_HPP
 
+#include <array>
 #include <cstdint>
-#include <optional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,21 +29,36 @@ namespace tileflow {
  *
  * An empty rectangle is represented by rank 0 or by any dimension with
  * end <= begin; all operations treat those uniformly as the empty set.
+ *
+ * Bounds are stored inline (at most kMaxRank dimensions), so building,
+ * intersecting and comparing rectangles never touches the heap. A
+ * larger rank is rejected with a recoverable fatal(), never truncated;
+ * the workload front end (diagnostic W512) and Workload::addTensor
+ * reject such tensors before any slice is built.
  */
 class HyperRect
 {
   public:
+    /** Largest supported rank (tensor dimensions). */
+    static constexpr size_t kMaxRank = 8;
+
     /** The empty rectangle. */
     HyperRect() = default;
 
     /** Construct from per-dimension [begin, end) pairs. */
-    HyperRect(std::vector<int64_t> begins, std::vector<int64_t> ends);
+    HyperRect(std::span<const int64_t> begins, std::span<const int64_t> ends);
+    HyperRect(std::initializer_list<int64_t> begins,
+              std::initializer_list<int64_t> ends)
+        : HyperRect(std::span<const int64_t>(begins.begin(), begins.size()),
+                    std::span<const int64_t>(ends.begin(), ends.size()))
+    {
+    }
 
     /** A rectangle anchored at the origin with the given extents. */
     static HyperRect fromExtents(const std::vector<int64_t>& extents);
 
     /** Number of dimensions (0 for the canonical empty rectangle). */
-    size_t rank() const { return begins_.size(); }
+    size_t rank() const { return rank_; }
 
     bool empty() const;
 
@@ -77,8 +94,12 @@ class HyperRect
     std::string str() const;
 
   private:
-    std::vector<int64_t> begins_;
-    std::vector<int64_t> ends_;
+    /** Zero bounds at the given rank; fatal() above kMaxRank. */
+    explicit HyperRect(size_t rank);
+
+    std::array<int64_t, kMaxRank> begins_{};
+    std::array<int64_t, kMaxRank> ends_{};
+    size_t rank_ = 0;
 };
 
 /**
@@ -87,7 +108,8 @@ class HyperRect
  * coordinate compression: the union is sliced into the grid cells
  * induced by all begin/end coordinates and each cell is counted once
  * if any rectangle covers it. Cost is O(cells x rects), fine for the
- * handfuls of slices per tensor the analyses produce.
+ * handfuls of slices per tensor the analyses produce. A single
+ * non-empty rectangle returns its volume() directly.
  */
 int64_t unionVolume(const std::vector<HyperRect>& rects);
 

@@ -1,6 +1,7 @@
 #include "ir/operator.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hpp"
 
@@ -74,25 +75,29 @@ Operator::outputTensors() const
 }
 
 HyperRect
-Operator::sliceOf(const TensorAccess& access,
-                  const std::vector<int64_t>& base,
-                  const std::vector<int64_t>& span) const
+Operator::sliceOf(const TensorAccess& access, std::span<const int64_t> base,
+                  std::span<const int64_t> span) const
 {
-    std::vector<int64_t> begins(access.projection.size());
-    std::vector<int64_t> ends(access.projection.size());
-    for (size_t d = 0; d < access.projection.size(); ++d) {
+    const size_t rank = access.projection.size();
+    if (rank > HyperRect::kMaxRank)
+        fatal("Operator ", name_, ": access of rank ", rank,
+              " exceeds the supported maximum ", HyperRect::kMaxRank);
+    std::array<int64_t, HyperRect::kMaxRank> begins;
+    std::array<int64_t, HyperRect::kMaxRank> ends;
+    for (size_t d = 0; d < rank; ++d) {
         int64_t lo = 0;
         int64_t hi = 0; // inclusive upper bound
         for (const auto& term : access.projection[d]) {
-            const int64_t b = base[term.dim];
-            const int64_t s = std::max<int64_t>(span[term.dim], 1);
+            const int64_t b = base[size_t(term.dim)];
+            const int64_t s = std::max<int64_t>(span[size_t(term.dim)], 1);
             lo += term.coeff * b;
             hi += term.coeff * (b + s - 1);
         }
         begins[d] = lo;
         ends[d] = hi + 1;
     }
-    return HyperRect(std::move(begins), std::move(ends));
+    return HyperRect(std::span<const int64_t>(begins.data(), rank),
+                     std::span<const int64_t>(ends.data(), rank));
 }
 
 } // namespace tileflow

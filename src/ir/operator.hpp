@@ -13,6 +13,7 @@
 #define TILEFLOW_IR_OPERATOR_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,11 +102,12 @@ class Operator
     /**
      * Data slice touched through `access` when each dim d spans
      * [base[d], base[d] + span[d]). base/span are indexed by workload
-     * DimId; dims the operator does not use are ignored.
+     * DimId; dims the operator does not use are ignored. fatal() if
+     * the access has more than HyperRect::kMaxRank dimensions.
      */
     HyperRect sliceOf(const TensorAccess& access,
-                      const std::vector<int64_t>& base,
-                      const std::vector<int64_t>& span) const;
+                      std::span<const int64_t> base,
+                      std::span<const int64_t> span) const;
 
   private:
     std::string name_;

@@ -27,7 +27,13 @@ Workload::addTensor(Tensor tensor)
             fatal("Workload ", name_, ": duplicate tensor name '",
                   tensor.name, "'");
     }
+    if (tensor.rank() > HyperRect::kMaxRank)
+        fatal("Workload ", name_, ": tensor '", tensor.name, "' has rank ",
+              tensor.rank(), ", above the supported maximum ",
+              HyperRect::kMaxRank);
     tensors_.push_back(std::move(tensor));
+    producers_.push_back(-1);
+    consumers_.emplace_back();
     return TensorId(tensors_.size() - 1);
 }
 
@@ -44,8 +50,18 @@ Workload::addOp(Operator op)
                   tensor.name, " with rank ", access.projection.size(),
                   " projection but tensor rank is ", tensor.rank());
     }
+    const OpId id = OpId(ops_.size());
+    for (const auto& access : op.accesses()) {
+        const size_t t = size_t(access.tensor);
+        if (access.isWrite) {
+            if (producers_[t] < 0)
+                producers_[t] = id;
+        } else if (consumers_[t].empty() || consumers_[t].back() != id) {
+            consumers_[t].push_back(id);
+        }
+    }
     ops_.push_back(std::move(op));
-    return OpId(ops_.size() - 1);
+    return id;
 }
 
 DimId
@@ -103,33 +119,6 @@ Workload::opId(const std::string& name) const
     if (id < 0)
         fatal("Workload ", name_, ": unknown op '", name, "'");
     return id;
-}
-
-OpId
-Workload::producerOf(TensorId tensor) const
-{
-    for (size_t i = 0; i < ops_.size(); ++i) {
-        for (const auto& access : ops_[i].accesses()) {
-            if (access.isWrite && access.tensor == tensor)
-                return OpId(i);
-        }
-    }
-    return -1;
-}
-
-std::vector<OpId>
-Workload::consumersOf(TensorId tensor) const
-{
-    std::vector<OpId> out;
-    for (size_t i = 0; i < ops_.size(); ++i) {
-        for (const auto& access : ops_[i].accesses()) {
-            if (!access.isWrite && access.tensor == tensor) {
-                out.push_back(OpId(i));
-                break;
-            }
-        }
-    }
-    return out;
 }
 
 bool

@@ -33,10 +33,12 @@ class Workload
     /** Register an iteration dim; returns its id. Names must be unique. */
     DimId addDim(const std::string& name, int64_t extent);
 
-    /** Register a tensor; returns its id. Names must be unique. */
+    /** Register a tensor; returns its id. Names must be unique and the
+     *  rank at most HyperRect::kMaxRank. */
     TensorId addTensor(Tensor tensor);
 
-    /** Append an operator (must respect topological order). */
+    /** Append an operator (must respect topological order). The
+     *  producer/consumer tables are current after every call. */
     OpId addOp(Operator op);
 
     const std::vector<Dim>& dims() const { return dims_; }
@@ -64,11 +66,18 @@ class Workload
     TensorId findTensor(const std::string& name) const;
     OpId findOp(const std::string& name) const;
 
-    /** Id of the op writing the tensor, or -1 if it is a pure input. */
-    OpId producerOf(TensorId tensor) const;
+    /** Id of the first op writing the tensor, or -1 if it is a pure
+     *  input. */
+    OpId producerOf(TensorId tensor) const
+    {
+        return producers_[size_t(tensor)];
+    }
 
-    /** Ids of ops reading the tensor. */
-    std::vector<OpId> consumersOf(TensorId tensor) const;
+    /** Ids of ops reading the tensor, each once, in op order. */
+    const std::vector<OpId>& consumersOf(TensorId tensor) const
+    {
+        return consumers_[size_t(tensor)];
+    }
 
     /** Produced by one op and consumed by another. */
     bool isIntermediate(TensorId tensor) const;
@@ -90,6 +99,9 @@ class Workload
     std::vector<Dim> dims_;
     std::vector<Tensor> tensors_;
     std::vector<Operator> ops_;
+    // Per tensor, filled by addTensor/addOp.
+    std::vector<OpId> producers_;
+    std::vector<std::vector<OpId>> consumers_;
 };
 
 } // namespace tileflow

@@ -87,6 +87,14 @@ TEST(Tree, PathSpanMultipliesAcrossLevels)
     EXPECT_EQ(pathSpan(tree.root(), leaf, w.dimId("k")), 4 * 4 * 16);
     const Node* l1 = tree.root()->child(0);
     EXPECT_EQ(pathSpan(l1, leaf, w.dimId("j")), 4 * 16);
+
+    // pathSpans gives every dim's pathSpan from one walk.
+    std::vector<int64_t> spans(w.dims().size());
+    for (const Node* subtree : std::vector<const Node*>{tree.root(), l1}) {
+        pathSpans(subtree, leaf, spans);
+        for (size_t d = 0; d < spans.size(); ++d)
+            EXPECT_EQ(spans[d], pathSpan(subtree, leaf, DimId(d)));
+    }
 }
 
 TEST(Tree, ExecutionCountMultipliesAncestors)

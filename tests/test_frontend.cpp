@@ -179,7 +179,8 @@ TEST(FrontendCorpus, MalformedWorkloadReportsAllThreeErrors)
     DiagnosticEngine diags;
     auto workload = parseWorkloadSpec(text, diags);
     EXPECT_FALSE(workload.has_value());
-    EXPECT_EQ(diags.errorCount(), 3u);
+    // The three original mistakes plus the rank-limit line (W512).
+    EXPECT_EQ(diags.errorCount(), 4u);
     for (const Diagnostic& d : diags.diagnostics())
         EXPECT_TRUE(d.loc.valid()) << d.message;
     checkGolden("bad.wl.expected", diags.render(text, "bad.wl"));

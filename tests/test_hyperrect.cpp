@@ -9,6 +9,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "geom/hyperrect.hpp"
+#include "ir/workload.hpp"
 
 namespace tileflow {
 namespace {
@@ -121,6 +122,36 @@ TEST(HyperRect, StrIsReadable)
 {
     EXPECT_EQ(HyperRect({0, 8}, {4, 14}).str(), "[0:4, 8:14]");
     EXPECT_EQ(HyperRect().str(), "[empty]");
+}
+
+TEST(HyperRect, MaxRankRectsAreExactAndLargerRanksAreRejected)
+{
+    static_assert(HyperRect::kMaxRank == 8);
+    const HyperRect a({0, 0, 0, 0, 0, 0, 0, 0}, {2, 3, 4, 5, 6, 7, 8, 9});
+    const HyperRect b({1, 1, 1, 1, 1, 1, 1, 1}, {3, 4, 5, 6, 7, 8, 9, 10});
+    EXPECT_EQ(a.rank(), 8u);
+    EXPECT_EQ(a.volume(), 2 * 3 * 4 * 5 * 6 * 7 * 8 * 9);
+
+    const HyperRect inter = a.intersect(b);
+    EXPECT_TRUE(inter ==
+                HyperRect({1, 1, 1, 1, 1, 1, 1, 1}, {2, 3, 4, 5, 6, 7, 8, 9}));
+    EXPECT_EQ(inter.volume(), 1 * 2 * 3 * 4 * 5 * 6 * 7 * 8);
+    EXPECT_EQ(a.differenceVolume(b), a.volume() - inter.volume());
+    EXPECT_EQ(a.differenceVolume(a), 0);
+
+    // Equality looks at every one of the eight dimensions.
+    EXPECT_TRUE(a == HyperRect({0, 0, 0, 0, 0, 0, 0, 0},
+                               {2, 3, 4, 5, 6, 7, 8, 9}));
+    EXPECT_FALSE(a == HyperRect({0, 0, 0, 0, 0, 0, 0, 0},
+                                {2, 3, 4, 5, 6, 7, 8, 10}));
+    EXPECT_FALSE(a == HyperRect({0, 0}, {2, 3}));
+
+    // Rank 9 is an input error, never a silent truncation.
+    const std::vector<int64_t> nine(9, 1);
+    const std::vector<int64_t> zeros(9, 0);
+    EXPECT_THROW(HyperRect(zeros, nine), FatalError);
+    Workload w("rank9");
+    EXPECT_THROW(w.addTensor(Tensor{"T", nine, DataType::Fp16}), FatalError);
 }
 
 /** Property sweep over random rectangle pairs. */

@@ -103,6 +103,41 @@ TEST(Workload, ProducerConsumerTopology)
     EXPECT_TRUE(w.isIntermediate(c));
     EXPECT_FALSE(w.isIntermediate(w.tensorId("A")));
     EXPECT_FALSE(w.isIntermediate(w.tensorId("E")));
+    EXPECT_EQ(w.producerOf(w.tensorId("A")), -1); // pure input
+
+    // X is read twice by "sq" and once by "add"; Y is written by "sq"
+    // and read by "add".
+    Workload h("hand");
+    const DimId i = h.addDim("i", 4);
+    const TensorId x = h.addTensor(Tensor{"X", {4}, DataType::Fp16});
+    const TensorId y = h.addTensor(Tensor{"Y", {4}, DataType::Fp16});
+    const TensorId z = h.addTensor(Tensor{"Z", {4}, DataType::Fp16});
+    auto access = [&](TensorId t, bool write) {
+        TensorAccess a;
+        a.tensor = t;
+        a.isWrite = write;
+        a.projection = {{AccessTerm{i, 1}}};
+        return a;
+    };
+    Operator sq("sq", ComputeKind::Vector);
+    sq.addDim(i, false);
+    sq.addAccess(access(x, false));
+    sq.addAccess(access(x, false));
+    sq.addAccess(access(y, true));
+    const OpId sq_id = h.addOp(std::move(sq));
+    Operator add("add", ComputeKind::Vector);
+    add.addDim(i, false);
+    add.addAccess(access(x, false));
+    add.addAccess(access(y, false));
+    add.addAccess(access(z, true));
+    const OpId add_id = h.addOp(std::move(add));
+
+    EXPECT_EQ(h.consumersOf(x), (std::vector<OpId>{sq_id, add_id}));
+    EXPECT_EQ(h.consumersOf(y), (std::vector<OpId>{add_id}));
+    EXPECT_TRUE(h.consumersOf(z).empty());
+    EXPECT_EQ(h.producerOf(x), -1);
+    EXPECT_EQ(h.producerOf(y), sq_id);
+    EXPECT_EQ(h.producerOf(z), add_id);
 }
 
 TEST(Workload, InputsAndOutputs)
