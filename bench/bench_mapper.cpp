@@ -1,32 +1,36 @@
 /**
  * @file
- * Branch-and-bound screening microbench: candidate throughput of the
- * tiling search with the admissible lower bound (analysis/
- * lowerbound.hpp) armed vs disarmed.
+ * Branch-and-bound pruning bench: wall time of the tiling search with
+ * the admissible lower bound (analysis/lowerbound.hpp) disarmed vs
+ * armed.
  *
- * Each section runs the same MCTS tiling exploration (same seed, same
- * sample budget) twice through exploreTiling — once with
- * MapperConfig::boundPrune off (every candidate pays the full
- * analytical model) and once with it on (candidates that provably
- * cannot beat the best-so-far, or provably overflow a buffer, are
- * discarded after only the O(nodes) bound). The headline metric is
- * candidates considered per second, where considered = fully evaluated
- * + bound-pruned; the acceptance bar (printed at the end, and the
- * process exit code) is >= 2x on at least one workload. The
- * mapper.bound_tightness histogram reports how close the bound runs to
- * the exact model on the candidates that were fully evaluated
+ * Each workload runs the same MCTS tiling exploration (same seed, same
+ * sample budget) through exploreTiling with MapperConfig::boundPrune
+ * off (every candidate pays the full analytical model) and on
+ * (candidates that provably cannot beat the best-so-far, or provably
+ * overflow a buffer, are discarded after only the bound). The two arms
+ * alternate, off then on, kRepeats times, so a noisy machine slows
+ * both alike. The headline is the median over repetitions of
+ * (off wall time / on wall time), summed over the workloads: how much
+ * search time pruning saves end to end. The process fails (exit code
+ * 1) when that ratio is under kBar, or when any run's best cycles
+ * differ from the others' — pruning must never change the answer.
+ * The mapper.bound_tightness histogram reports how close the bound
+ * runs to the exact model on the candidates that were fully evaluated
  * (100 * bound / actual, in percent).
  *
  * Emits the headline numbers as JSON (default BENCH_mapper.json; CI
- * uploads it as an artifact) so throughput regressions are diffable
- * across commits. --json PATH overrides the artifact path; --quick
- * shrinks the sample budget for CI.
+ * uploads it as an artifact) so regressions are diffable across
+ * commits. --json PATH overrides the artifact path; --quick shrinks
+ * the sample budget for CI.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "arch/presets.hpp"
 #include "bench_util.hpp"
@@ -39,14 +43,18 @@ using namespace tileflow;
 
 namespace {
 
+/** Off/on pairs per workload. */
+constexpr int kRepeats = 5;
+
+/** Least median off/on wall-time ratio that passes. */
+constexpr double kBar = 1.2;
+
 struct RunStats
 {
     double seconds = 0.0;
-    uint64_t considered = 0; // evaluations + bound-pruned
     uint64_t evaluations = 0;
     uint64_t pruned = 0;
     double bestCycles = 0.0;
-    bool found = false;
 };
 
 RunStats
@@ -64,10 +72,16 @@ runOnce(const Evaluator& model, const MappingSpace& space, int samples,
                         .count();
     stats.evaluations = uint64_t(result.evaluations);
     stats.pruned = result.boundPruned;
-    stats.considered = stats.evaluations + stats.pruned;
     stats.bestCycles = result.found ? result.bestCycles : 0.0;
-    stats.found = result.found;
     return stats;
+}
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const size_t n = values.size();
+    return n % 2 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 } // namespace
@@ -90,17 +104,21 @@ main(int argc, char** argv)
         }
     }
 
-    bench::banner("Branch-and-bound screening: candidate throughput "
-                  "with the lower bound armed vs disarmed");
+    bench::banner("Branch-and-bound pruning: search wall time with the "
+                  "lower bound disarmed vs armed");
 
-    std::printf("%-10s %10s %10s %9s %10s %10s %9s\n", "workload",
-                "off/s", "on/s", "speedup", "evals(on)", "pruned",
-                "prune%");
+    std::printf("%-10s %10s %10s %9s %10s %10s %12s\n", "workload",
+                "off ms", "on ms", "off/on", "evals(on)", "pruned",
+                "best cycles");
 
     const ArchSpec edge = makeEdgeArch();
     bench::JsonReport json;
     json.number("samples", samples);
-    double best_speedup = 0.0;
+    json.number("repeats", kRepeats);
+
+    std::vector<double> off_total(kRepeats, 0.0);
+    std::vector<double> on_total(kRepeats, 0.0);
+    bool same_best = true;
 
     for (const char* name : {"Bert-S", "Bert-L"}) {
         const Workload workload =
@@ -109,33 +127,42 @@ main(int argc, char** argv)
         const MappingSpace space =
             makeAttentionTilingSpace(workload, edge);
 
-        const RunStats off = runOnce(model, space, samples, false);
-        const RunStats on = runOnce(model, space, samples, true);
-
-        const double off_rate = double(off.considered) / off.seconds;
-        const double on_rate = double(on.considered) / on.seconds;
-        const double speedup = off_rate > 0.0 ? on_rate / off_rate : 0.0;
-        if (speedup > best_speedup)
-            best_speedup = speedup;
-
-        std::printf("%-10s %10.0f %10.0f %8.2fx %10llu %10llu %8.1f%%\n",
-                    name, off_rate, on_rate, speedup,
+        std::vector<double> off_s, on_s;
+        RunStats on;
+        double best = 0.0;
+        for (int rep = 0; rep < kRepeats; ++rep) {
+            const RunStats off = runOnce(model, space, samples, false);
+            on = runOnce(model, space, samples, true);
+            off_s.push_back(off.seconds);
+            on_s.push_back(on.seconds);
+            off_total[size_t(rep)] += off.seconds;
+            on_total[size_t(rep)] += on.seconds;
+            if (rep == 0)
+                best = off.bestCycles;
+            same_best = same_best && best > 0.0 &&
+                        off.bestCycles == best && on.bestCycles == best;
+        }
+        const double off_ms = 1e3 * median(off_s);
+        const double on_ms = 1e3 * median(on_s);
+        const double ratio = on_ms > 0.0 ? off_ms / on_ms : 0.0;
+        std::printf("%-10s %10.1f %10.1f %8.2fx %10llu %10llu %12.0f\n",
+                    name, off_ms, on_ms, ratio,
                     (unsigned long long)on.evaluations,
-                    (unsigned long long)on.pruned,
-                    on.considered > 0
-                        ? 100.0 * double(on.pruned) /
-                              double(on.considered)
-                        : 0.0);
+                    (unsigned long long)on.pruned, best);
 
         const std::string key = name;
-        json.number(key + ".candidates_per_sec_off", off_rate);
-        json.number(key + ".candidates_per_sec_on", on_rate);
-        json.number(key + ".speedup", speedup);
+        json.number(key + ".wall_ms_off", off_ms);
+        json.number(key + ".wall_ms_on", on_ms);
+        json.number(key + ".off_on_ratio", ratio);
         json.number(key + ".evaluations_on", double(on.evaluations));
         json.number(key + ".bound_pruned", double(on.pruned));
-        json.number(key + ".best_cycles_on", on.bestCycles);
-        json.number(key + ".best_cycles_off", off.bestCycles);
+        json.number(key + ".best_cycles", best);
     }
+
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kRepeats; ++rep)
+        ratios.push_back(off_total[size_t(rep)] / on_total[size_t(rep)]);
+    const double ratio = median(ratios);
 
     // Bound tightness on the candidates that were fully evaluated:
     // 100 * bound / actual in percent (bucketed — the histogram's
@@ -156,11 +183,14 @@ main(int argc, char** argv)
     json.number("tightness.p50", double(tightness.quantileNs(0.5)));
     json.number("tightness.p90", double(tightness.quantileNs(0.9)));
     json.number("tightness.p99", double(tightness.quantileNs(0.99)));
-    json.number("best_speedup", best_speedup);
+    json.number("off_on_ratio", ratio);
+    json.number("same_best", same_best ? 1.0 : 0.0);
 
-    std::printf("\nbest speedup: %.2fx (acceptance bar: >= 2.0x on at "
-                "least one workload)\n",
-                best_speedup);
+    std::printf("\noff/on wall-time ratio, median of %d pairs: %.2fx "
+                "(bar: >= %.1fx); best cycles %s with pruning on and "
+                "off\n",
+                kRepeats, ratio, kBar,
+                same_best ? "identical" : "DIFFER");
 
     if (json.writeTo(json_path))
         std::printf("json written to %s\n", json_path.c_str());
@@ -169,5 +199,5 @@ main(int argc, char** argv)
 
     std::printf("\nprocess-cumulative telemetry:\n%s",
                 MetricsRegistry::global().table().c_str());
-    return best_speedup >= 2.0 ? 0 : 1;
+    return ratio >= kBar && same_best ? 0 : 1;
 }

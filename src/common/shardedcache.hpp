@@ -7,8 +7,10 @@
  * `entryBytes(key, value)`, `kMetricPrefix` (registry names are
  * `<prefix>lookups`, `hits`, `misses`, `inserts`, `evictions`,
  * `bytes_inserted`, `bytes_evicted` and the `<prefix>bytes` gauge),
- * `kBudgetName`, `kDefaultEntryCap`, and the string-literal
- * `kTraceHits`/`kTraceMisses` trace counter names (nullptr: none).
+ * `kBudgetName`, `kDefaultEntryCap`, the string-literal
+ * `kTraceHits`/`kTraceMisses` trace counter names (nullptr: none),
+ * and optionally a `replaces(existing, incoming)` merge rule for an
+ * insert over an existing key.
  *
  * The key hash picks one of `shards` independently-locked maps, each
  * FIFO-bounded by an entry cap and a byte cap. Eviction changes hit
@@ -85,23 +87,41 @@ class ShardedCache
     std::optional<Value>
     lookup(const Key& key)
     {
+        return lookup(key, [](const Value&) { return true; });
+    }
+
+    /**
+     * Find a memoized value that the caller may or may not be able to
+     * use: counts a hit only when `usable(value)`, a miss otherwise
+     * (or when the key is absent), and returns the value either way.
+     */
+    template <class Usable>
+    std::optional<Value>
+    lookup(const Key& key, Usable&& usable)
+    {
         metricLookups_.add();
+        std::optional<Value> found;
         Shard& shard = shardFor(key);
         {
             std::lock_guard<std::mutex> lock(shard.mutex);
             const auto it = shard.map.find(key);
-            if (it != shard.map.end()) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                metricHits_.add();
-                return it->second;
-            }
+            if (it != shard.map.end())
+                found = it->second;
         }
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        metricMisses_.add();
-        return std::nullopt;
+        if (found && usable(*found)) {
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            metricHits_.add();
+        } else {
+            misses_.fetch_add(1, std::memory_order_relaxed);
+            metricMisses_.add();
+        }
+        return found;
     }
 
-    /** Memoize a value (last writer wins; may FIFO-evict). */
+    /** Memoize a value (may FIFO-evict). An existing entry is
+     *  overwritten unless the traits' optional
+     *  `replaces(existing, incoming)` merge rule says otherwise;
+     *  without one, the last writer wins. */
     void
     insert(const Key& key, Value value)
     {
@@ -112,6 +132,11 @@ class ShardedCache
         {
             std::lock_guard<std::mutex> lock(shard.mutex);
             const auto it = shard.map.find(key);
+            if constexpr (requires { Traits::replaces(it->second, value); }) {
+                if (it != shard.map.end() &&
+                    !Traits::replaces(it->second, value))
+                    return;
+            }
             if (it != shard.map.end()) {
                 // Overwrite: the old entry's bytes count as evicted,
                 // the new entry's as inserted, keeping both exact.

@@ -66,9 +66,13 @@ void
 ckptWriteCache(CkptWriter& w, const EvalCache& cache)
 {
     std::vector<std::pair<std::vector<int64_t>, CachedEval>> entries;
+    // Bound-only entries are not verdicts and are not persisted: a
+    // resumed run bounds those candidates again, which reaches the
+    // same verdicts.
     cache.forEach([&](const std::vector<int64_t>& choices,
                       const CachedEval& value) {
-        entries.emplace_back(choices, value);
+        if (!value.pruned)
+            entries.emplace_back(choices, value);
     });
     w.tag("cache");
     w.u64(entries.size());

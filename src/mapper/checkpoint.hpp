@@ -97,7 +97,8 @@ class CkptReader
     bool ok_ = true;
 };
 
-/** Serialize every EvalCache entry (tagged "cache"). */
+/** Serialize every EvalCache entry that holds a verdict (tagged
+ *  "cache"); bound-only entries are skipped. */
 void ckptWriteCache(CkptWriter& w, const EvalCache& cache);
 
 /** Restore entries via insert() (counters untouched); false + poisoned

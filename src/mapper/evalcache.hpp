@@ -8,7 +8,8 @@
  * the full choice vector — hashed with FNV-1a over its int64 entries,
  * compared element-wise on collision — and stores just the verdict the
  * search loop needs (valid + cycles), so a repeated sample skips the
- * tree build and the entire analysis.
+ * tree build and the entire analysis; a pruned candidate's lower bound
+ * is kept too, so a repeated prune skips the bound.
  *
  * EvalCache is a ShardedCache (common/shardedcache.hpp): sharded,
  * FIFO-bounded (unbounded by default), memory-budget aware, with
@@ -30,13 +31,23 @@ namespace tileflow {
 /**
  * The memoized verdict for one choice vector.
  *
- * Three states, not two: an ordinarily *invalid* mapping (resource
- * violation — `valid == false, failed == false`), a *valid* one, and
- * an evaluation that *failed* outright (the evaluator threw, or
- * returned a non-finite result). Failed evaluations are memoized as
- * tagged infeasible entries — never as ordinary results — so retries
- * of a crashing candidate are cache hits that carry the original
- * failure reason, and hit/miss counters stay honest.
+ * Four states: an ordinarily *invalid* mapping (resource violation —
+ * `valid == false, failed == false`), a *valid* one, an evaluation
+ * that *failed* outright (the evaluator threw, or returned a
+ * non-finite result), and a *bound-only* entry (`pruned`). Failed
+ * evaluations are memoized as tagged infeasible entries — never as
+ * ordinary results — so retries of a crashing candidate are cache
+ * hits that carry the original failure reason, and hit/miss counters
+ * stay honest.
+ *
+ * A bound-only entry records that the branch-and-bound screen
+ * (mapper/guard.hpp) pruned the candidate before full evaluation. It
+ * holds no verdict, only the candidate's lower bound, which does not
+ * depend on the pruning threshold: a later lookup re-derives the
+ * verdict against its own threshold (settles(), mapper/guard.hpp).
+ * It never replaces a full verdict in the cache, and readers that
+ * need a real result — the no-factor search path, checkpoint
+ * serialization — skip it.
  */
 struct CachedEval
 {
@@ -49,14 +60,12 @@ struct CachedEval
     /** Why it failed (empty unless `failed`). */
     std::string failReason;
 
-    /**
-     * Screened out by the branch-and-bound lower bound before full
-     * evaluation (mapper/guard.hpp). Transient guard verdict only: a
-     * cost-prune depends on the caller's best-so-far threshold, which
-     * is not part of the cache key, so pruned entries are never
-     * inserted into the cache and never serialized.
-     */
+    /** Bound-only entry: pruned on its lower bound, never evaluated. */
     bool pruned = false;
+
+    /** The lower bound of a bound-only entry, in cycles (+inf for a
+     *  capacity reject, which every threshold prunes). */
+    double boundCycles = 0.0;
 };
 
 struct EvalCacheTraits
@@ -70,6 +79,15 @@ struct EvalCacheTraits
     /** Key counted twice (map entry + FIFO copy), plus the value and
      *  its failure reason. */
     static size_t entryBytes(const Key& choices, const CachedEval& value);
+
+    /** Merge rule: a bound-only entry never replaces a full verdict
+     *  (concurrent GA tuners share one cache); otherwise the last
+     *  writer wins. */
+    static bool
+    replaces(const CachedEval& existing, const CachedEval& incoming)
+    {
+        return existing.pruned || !incoming.pruned;
+    }
 
     static constexpr const char* kMetricPrefix = "evalcache.";
     static constexpr const char* kBudgetName = "evalcache";

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <new>
 
 #include "common/logging.hpp"
@@ -10,10 +11,39 @@
 
 namespace tileflow {
 
+namespace {
+
+/**
+ * The candidate's threshold-free lower bound in cycles: +inf for a
+ * capacity-screen reject (every threshold prunes it), nullopt when the
+ * bound cannot be computed — a failing bound is never a verdict, the
+ * full evaluator classifies the candidate instead.
+ */
+std::optional<double>
+computeBound(const LowerBoundEvaluator& lower_bound,
+             const AnalysisTree& tree)
+{
+    static Counter& boundEvals =
+        MetricsRegistry::global().counter("mapper.bound_evals");
+    const TraceSpan span("bound", "mapper");
+    try {
+        const LowerBound lb = lower_bound.bound(tree);
+        if (!lb.analyzed)
+            return std::nullopt;
+        boundEvals.add();
+        return lb.capacityReject ? std::numeric_limits<double>::infinity()
+                                 : lb.cycles;
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+}
+
+} // namespace
+
 CachedEval
 guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
                 const std::vector<int64_t>& choices,
-                const BoundPrune* prune)
+                const BoundPrune* prune, std::optional<double> knownBound)
 {
     // The single chokepoint every real (non-memoized) search
     // evaluation passes through, in both the GA and MCTS paths.
@@ -22,7 +52,8 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
     // — every candidate either prunes on the lower bound or pays a
     // full evaluation; `mapper.evaluations`, plus the restored-portion
     // credit the engines add on checkpoint resume, always equals
-    // MapperResult::evaluations.
+    // MapperResult::evaluations. A prune memoized in the EvalCache
+    // never gets here, so it is none of the three.
     static Counter& candidates =
         MetricsRegistry::global().counter("mapper.candidates");
     static Counter& evals =
@@ -31,8 +62,6 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         MetricsRegistry::global().counter("mapper.failed_evaluations");
     static Counter& oomFailed =
         MetricsRegistry::global().counter("mem.oom_failed_evals");
-    static Counter& boundEvals =
-        MetricsRegistry::global().counter("mapper.bound_evals");
     static Counter& boundPruned =
         MetricsRegistry::global().counter("mapper.bound_pruned");
     // Bound/actual ratio in percent per fully evaluated valid
@@ -66,34 +95,25 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         // One build serves both the bound screen and the full
         // evaluation (the screen must not double the tree-build cost
         // it is trying to save).
-        const AnalysisTree tree = space.build(choices);
+        const AnalysisTree tree = [&] {
+            const TraceSpan span("space.build", "mapper");
+            return space.build(choices);
+        }();
 
-        double lb_cycles = 0.0;
-        bool have_bound = false;
+        std::optional<double> lb_cycles;
         if (prune != nullptr && prune->bound != nullptr) {
-            // A failing bound computation is never a verdict: fall
-            // through and let the full evaluator classify the
-            // candidate.
-            try {
-                const LowerBound lb = prune->bound->bound(tree);
-                if (lb.analyzed) {
-                    have_bound = true;
-                    lb_cycles = lb.cycles;
-                    boundEvals.add();
-                    if (lb.capacityReject ||
-                        lb.cycles >= prune->bestCycles) {
-                        // Sound to discard: either the full evaluator
-                        // provably rejects this tree for capacity, or
-                        // its cycles provably cannot beat the
-                        // caller's best. Not an evaluation, not
-                        // cacheable (the verdict depends on
-                        // `bestCycles`).
-                        out.pruned = true;
-                        boundPruned.add();
-                        return out;
-                    }
-                }
-            } catch (const std::exception&) {
+            lb_cycles =
+                knownBound ? knownBound : computeBound(*prune->bound, tree);
+            if (lb_cycles && *lb_cycles >= prune->bestCycles) {
+                // Sound to discard: either the full evaluator
+                // provably rejects this tree for capacity, or its
+                // cycles provably cannot beat the caller's best. Not
+                // an evaluation; the bound-only verdict is cacheable
+                // because the bound itself is threshold-free.
+                out.pruned = true;
+                out.boundCycles = *lb_cycles;
+                boundPruned.add();
+                return out;
             }
         }
 
@@ -107,9 +127,9 @@ guardedEvaluate(const Evaluator& evaluator, const MappingSpace& space,
         } else {
             out.valid = full.valid;
             out.cycles = full.cycles;
-            if (have_bound && full.valid && full.cycles > 0.0) {
+            if (lb_cycles && full.valid && full.cycles > 0.0) {
                 tightness.observe(
-                    uint64_t(100.0 * lb_cycles / full.cycles));
+                    uint64_t(100.0 * *lb_cycles / full.cycles));
             }
         }
     } catch (const FatalError& e) {

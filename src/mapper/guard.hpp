@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "analysis/evaluator.hpp"
@@ -38,9 +39,10 @@ namespace tileflow {
  * When passed (non-null, with a non-null evaluator), the candidate's
  * tree is built once and lower-bounded before full evaluation: a
  * capacity-screen reject, or a bound already >= `bestCycles`, returns
- * a CachedEval with `pruned` set — never fully evaluated, never
- * counted in `mapper.evaluations`, and (because the verdict depends
- * on the caller's threshold) never to be inserted into an EvalCache.
+ * a bound-only CachedEval (`pruned`, with the threshold-free bound in
+ * `boundCycles`) — never fully evaluated, never counted in
+ * `mapper.evaluations`. Callers may memoize it: a later lookup
+ * re-derives the verdict against its own threshold (settles()).
  *
  * Caller contract: `bound` must be constructed from the same
  * workload/spec/options as the evaluator it screens for, and
@@ -57,17 +59,34 @@ struct BoundPrune
 };
 
 /**
+ * Whether a cached `entry` settles its candidate without further work
+ * under `prune` (nullable: pruning disarmed). A full verdict always
+ * does; a bound-only entry does when its bound still reaches the
+ * threshold — a memoized prune, the verdict the bound would give
+ * again.
+ */
+inline bool
+settles(const CachedEval& entry, const BoundPrune* prune)
+{
+    return !entry.pruned ||
+           (prune != nullptr && entry.boundCycles >= prune->bestCycles);
+}
+
+/**
  * Build and evaluate `choices`, converting every throw and every
  * non-finite "valid" result into a tagged infeasible CachedEval.
  * Never throws (panic/abort excepted). `prune` (nullable) arms the
- * bound-first branch-and-bound screen described above. Whether
- * `evaluator` memoizes subtrees never changes the verdict — the two
- * paths are bit-identical — only the throughput.
+ * bound-first branch-and-bound screen described above; `knownBound`,
+ * when given, is the candidate's memoized bound, used in place of
+ * computing it again. Whether `evaluator` memoizes subtrees never
+ * changes the verdict — the two paths are bit-identical — only the
+ * throughput.
  */
 CachedEval guardedEvaluate(const Evaluator& evaluator,
                            const MappingSpace& space,
                            const std::vector<int64_t>& choices,
-                           const BoundPrune* prune = nullptr);
+                           const BoundPrune* prune = nullptr,
+                           std::optional<double> knownBound = std::nullopt);
 
 } // namespace tileflow
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/hash.hpp"
@@ -43,6 +44,10 @@ struct PendingSample
     std::vector<int64_t> choices;
     std::vector<SearchNode*> path;
     CachedEval eval;
+
+    /** The memoized lower bound of a bound-only cache entry that did
+     *  not settle this sample, so its full evaluation skips the bound. */
+    std::optional<double> knownBound;
 };
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -112,11 +117,15 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
         // evaluation: pruning it would save one analysis but lose
         // the candidate's actual cycles (and with it `found`), so
         // the no-factor path behaves identically with pruning on or
-        // off.
+        // off. For the same reason a bound-only entry is no result
+        // here: it counts as a miss and a full verdict replaces it.
         CachedEval eval;
+        const auto settled = [](const CachedEval& e) {
+            return settles(e, nullptr);
+        };
         const std::optional<CachedEval> cached =
-            cache_ ? cache_->lookup(base) : std::nullopt;
-        if (cached) {
+            cache_ ? cache_->lookup(base, settled) : std::nullopt;
+        if (cached && settled(*cached)) {
             eval = *cached;
         } else {
             eval = guardedEvaluate(*evaluator_, *space_, base);
@@ -337,19 +346,36 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
             pending.push_back(std::move(sample));
         }
 
+        // Branch-and-bound threshold for this batch, captured here on
+        // the serial thread: `best` only changes in serial backprop,
+        // so every worker sees the same threshold and the trajectory
+        // is independent of the pool size.
+        const BoundPrune batch_prune{
+            boundLb_, std::min(best, boundSeed_)};
+        const BoundPrune* prune = boundLb_ ? &batch_prune : nullptr;
+
         // Resolve the batch against the cache, deduplicating repeats
         // within the batch so each distinct mapping is evaluated at
-        // most once; only the leftovers hit the evaluator.
+        // most once; only the leftovers hit the evaluator. A
+        // bound-only entry whose bound still reaches the threshold is
+        // a memoized prune (a hit: the same verdict the bound would
+        // give again); one below it is a miss that is evaluated in
+        // full, reusing the bound.
         std::vector<int> copy_from(pending.size(), -1);
         std::vector<size_t> to_evaluate;
         for (size_t k = 0; k < pending.size(); ++k) {
-            const std::optional<CachedEval> cached =
-                cache_ ? cache_->lookup(pending[k].choices)
+            const auto settled = [&](const CachedEval& e) {
+                return settles(e, prune);
+            };
+            std::optional<CachedEval> cached =
+                cache_ ? cache_->lookup(pending[k].choices, settled)
                        : std::nullopt;
-            if (cached) {
-                pending[k].eval = *cached;
+            if (cached && settled(*cached)) {
+                pending[k].eval = std::move(*cached);
                 continue;
             }
+            if (cached)
+                pending[k].knownBound = cached->boundCycles;
             for (size_t j : to_evaluate) {
                 if (pending[j].choices == pending[k].choices) {
                     copy_from[k] = int(j);
@@ -360,21 +386,14 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                 to_evaluate.push_back(k);
         }
 
-        // Branch-and-bound threshold for this batch, captured here on
-        // the serial thread: `best` only changes in serial backprop,
-        // so every worker sees the same threshold and the trajectory
-        // is independent of the pool size.
-        const BoundPrune batch_prune{
-            boundLb_, std::min(best, boundSeed_)};
-        const BoundPrune* prune = boundLb_ ? &batch_prune : nullptr;
-
         // The guarded boundary: throwing / NaN-poisoned evaluations
         // become tagged infeasible verdicts instead of killing the
         // search (see mapper/guard.hpp).
         auto evaluate_one = [&](size_t i) {
             PendingSample& sample = pending[to_evaluate[i]];
             sample.eval = guardedEvaluate(*evaluator_, *space_,
-                                          sample.choices, prune);
+                                          sample.choices, prune,
+                                          sample.knownBound);
         };
         if (pool_ && to_evaluate.size() > 1) {
             pool_->parallelFor(to_evaluate.size(), evaluate_one);
@@ -382,17 +401,16 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
             for (size_t i = 0; i < to_evaluate.size(); ++i)
                 evaluate_one(i);
         }
-        // Pruned candidates are not evaluations: they must not charge
-        // the evaluation budget, and their verdict depends on this
-        // batch's threshold, so they must not enter the cache either
-        // (a later batch with a different best may decide otherwise).
+        // Pruned candidates are not evaluations and must not charge
+        // the evaluation budget. They are cached as bound-only
+        // entries: the bound does not depend on this batch's
+        // threshold, so a later batch re-derives its own verdict.
         int evaluated = 0;
         for (size_t k : to_evaluate) {
-            if (pending[k].eval.pruned) {
+            if (pending[k].eval.pruned)
                 result.boundPruned += 1;
-                continue;
-            }
-            evaluated += 1;
+            else
+                evaluated += 1;
             if (cache_)
                 cache_->insert(pending[k].choices, pending[k].eval);
         }

@@ -19,7 +19,10 @@
  *
  * An optional EvalCache memoizes complete mappings, so resampled
  * leaves skip the tree build and analysis; `MctsResult.evaluations`
- * counts only actual Evaluator::evaluate invocations. When the
+ * counts only actual Evaluator::evaluate invocations. A pruned
+ * candidate is memoized as a bound-only entry, so a resampled one is
+ * pruned again without a second bound (or, once the threshold has
+ * dropped below its bound, evaluated without one). When the
  * evaluator has a SubtreeCache attached, successive samples also share
  * everything but the newly decided factor's spine — bit-identically,
  * so the trajectory does not depend on it, only throughput does.
@@ -96,7 +99,10 @@ class MctsTuner
      * thread counts (the GA seeds `seed_best` with its
      * generation-boundary best). Unlike subtree memoization, pruning
      * IS part of the search trajectory: pruned samples backpropagate a 0
-     * reward where a full evaluation would have scored them.
+     * reward where a full evaluation would have scored them. With a
+     * cache set, each pruned candidate's bound is memoized and later
+     * draws re-derive the verdict from it; that saves bound calls and
+     * never changes the trajectory.
      * `bound` must mirror the evaluator's workload/spec/options and
      * outlive tune().
      */

@@ -56,8 +56,9 @@ struct SearchStats
     int evaluations = 0;
 
     /** Candidates discarded by the branch-and-bound lower bound —
-     *  never fully evaluated, never cached, never counted in
-     *  `evaluations`. */
+     *  never fully evaluated, never counted in `evaluations`. A
+     *  repeat prune answered from the EvalCache's bound-only entry
+     *  is a cache hit, not counted here again. */
     uint64_t boundPruned = 0;
 
     /** EvalCache hits/misses charged to this run. */

@@ -10,13 +10,18 @@
  * ever rejects trees the full evaluator also rejects. Plus the search
  * integration: prune-on and prune-off searches find equal-cost best
  * mappings (GA and MCTS), kill/resume with pruning stays
- * bit-identical, the guard's candidate accounting partitions exactly
- * into pruned + evaluated, and pruned verdicts are never cached.
+ * bit-identical, and the guard's candidate accounting partitions
+ * exactly into pruned + evaluated. And the bound memo: a pruned
+ * candidate is cached as a bound-only entry that is bounded once per
+ * run, settles later draws against their own threshold, never
+ * replaces a full verdict and is never read as a result.
  */
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <vector>
 
@@ -30,7 +35,9 @@
 #include "dataflows/attention.hpp"
 #include "ir/builders.hpp"
 #include "ir/shapes.hpp"
+#include "mapper/checkpoint.hpp"
 #include "mapper/mapper.hpp"
+#include "mapper/mcts.hpp"
 #include "oracle/fuzz.hpp"
 
 namespace tileflow {
@@ -454,6 +461,324 @@ TEST(LowerBound, GaKillResumeWithPruningIsBitIdentical)
     EXPECT_EQ(r.evaluations, reference.evaluations);
     EXPECT_EQ(r.boundPruned, reference.boundPruned);
     std::remove(path.c_str());
+}
+
+
+// -------------------------------------------------------------------
+// The bound memo: bound-only EvalCache entries
+// -------------------------------------------------------------------
+
+namespace {
+
+/** Registry counter deltas over a scope. */
+struct CounterDelta
+{
+    explicit CounterDelta(const char* name)
+        : name_(name),
+          start_(MetricsRegistry::global().counterValue(name))
+    {
+    }
+
+    uint64_t
+    value() const
+    {
+        return MetricsRegistry::global().counterValue(name_) - start_;
+    }
+
+  private:
+    const char* name_;
+    uint64_t start_;
+};
+
+/** `space` narrowed to its default choices: every draw is the same
+ *  candidate, so a test controls exactly what the cache holds. */
+MappingSpace
+singlePoint(const MappingSpace& space)
+{
+    std::vector<Knob> knobs = space.knobs();
+    const std::vector<int64_t> defaults = space.defaultChoices();
+    for (size_t i = 0; i < knobs.size(); ++i)
+        knobs[i].choices = {defaults[i]};
+    return MappingSpace(std::move(knobs),
+                        [&space](const std::vector<int64_t>& choices) {
+                            return space.build(choices);
+                        });
+}
+
+} // namespace
+
+TEST(BoundMemo, EachDistinctCandidateIsBoundedOnce)
+{
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionTilingSpace(w, edge);
+
+    // Every candidate that reaches the guard is built exactly once
+    // there, so the distinct built vectors are the distinct
+    // candidates the search bounded or evaluated.
+    std::mutex mutex;
+    std::set<std::vector<int64_t>> built;
+    const MappingSpace counting(
+        space.knobs(), [&](const std::vector<int64_t>& choices) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex);
+                built.insert(choices);
+            }
+            return space.build(choices);
+        });
+
+    const CounterDelta bounds("mapper.bound_evals");
+    const CounterDelta candidates("mapper.candidates");
+    MapperConfig cfg;
+    cfg.threads = 1;
+    const MapperResult r = exploreTiling(model, counting, 600, 7u, cfg);
+    ASSERT_TRUE(r.found);
+    ASSERT_GT(r.boundPruned, 0u);
+
+    // One bound per distinct candidate: a repeat draw is settled by
+    // the cache (a memoized prune, or a full verdict), and a
+    // bound-only entry that the threshold no longer prunes is
+    // evaluated with its memoized bound.
+    EXPECT_EQ(bounds.value(), built.size());
+    // Repeat prunes are cache hits, not candidates.
+    EXPECT_LT(candidates.value(), 600u);
+    EXPECT_EQ(candidates.value(), r.boundPruned + uint64_t(r.evaluations));
+    EXPECT_EQ(r.cacheHits + r.cacheMisses, 600u);
+}
+
+TEST(BoundMemo, CachedBoundIsJudgedAgainstEachThreshold)
+{
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace tiling = makeAttentionTilingSpace(w, edge);
+    const MappingSpace space = singlePoint(tiling);
+    const LowerBoundEvaluator lbe(model);
+    const std::vector<int64_t> choices = space.defaultChoices();
+
+    // Bound the candidate once, through the guard, against a
+    // threshold nothing beats.
+    const BoundPrune unbeatable{&lbe, 1e-9};
+    const CachedEval memo =
+        guardedEvaluate(model, space, choices, &unbeatable);
+    ASSERT_TRUE(memo.pruned);
+    const double bound = memo.boundCycles;
+    ASSERT_TRUE(std::isfinite(bound));
+    const CachedEval full = guardedEvaluate(model, space, choices);
+    ASSERT_TRUE(full.valid);
+    ASSERT_LE(bound, full.cycles);
+
+    const int samples = 16;
+    auto tune = [&](EvalCache& cache, double seed_best) {
+        Rng rng(1);
+        MctsTuner tuner(model, space, rng);
+        tuner.setCache(&cache);
+        tuner.setBoundPrune(&lbe, seed_best);
+        return tuner.tune(choices, samples);
+    };
+
+    {
+        // A threshold at or below the bound: every draw is a memoized
+        // prune — a cache hit, with no bound call, no candidate and
+        // no evaluation.
+        SCOPED_TRACE("threshold == bound");
+        EvalCache cache;
+        cache.insert(choices, memo);
+        const CounterDelta bounds("mapper.bound_evals");
+        const CounterDelta candidates("mapper.candidates");
+        const MctsResult r = tune(cache, bound);
+        EXPECT_FALSE(r.found);
+        EXPECT_EQ(r.evaluations, 0);
+        EXPECT_EQ(r.boundPruned, 0u);
+        EXPECT_EQ(r.cacheHits, uint64_t(samples));
+        EXPECT_EQ(r.cacheMisses, 0u);
+        EXPECT_EQ(bounds.value(), 0u);
+        EXPECT_EQ(candidates.value(), 0u);
+        EXPECT_TRUE(cache.lookup(choices)->pruned);
+    }
+    {
+        // A threshold above the bound: the first draw misses and is
+        // evaluated in full without bounding it again; its verdict
+        // replaces the bound-only entry and settles every later draw.
+        SCOPED_TRACE("threshold > bound");
+        EvalCache cache;
+        cache.insert(choices, memo);
+        const CounterDelta bounds("mapper.bound_evals");
+        const CounterDelta candidates("mapper.candidates");
+        const MctsResult r =
+            tune(cache, std::numeric_limits<double>::infinity());
+        ASSERT_TRUE(r.found);
+        EXPECT_EQ(r.bestCycles, full.cycles);
+        EXPECT_EQ(r.evaluations, 1);
+        EXPECT_EQ(r.boundPruned, 0u);
+        EXPECT_EQ(r.cacheMisses, 1u);
+        EXPECT_EQ(r.cacheHits, uint64_t(samples - 1));
+        EXPECT_EQ(bounds.value(), 0u);
+        EXPECT_EQ(candidates.value(), 1u);
+        const std::optional<CachedEval> now = cache.lookup(choices);
+        ASSERT_TRUE(now.has_value());
+        EXPECT_FALSE(now->pruned);
+        EXPECT_EQ(now->cycles, full.cycles);
+    }
+}
+
+TEST(BoundMemo, BoundOnlyEntryNeverReplacesAFullVerdict)
+{
+    CachedEval full;
+    full.valid = true;
+    full.cycles = 100.0;
+    CachedEval bound_only;
+    bound_only.pruned = true;
+    bound_only.boundCycles = 90.0;
+
+    EvalCache cache;
+    const std::vector<int64_t> first{1, 2, 3};
+    cache.insert(first, full);
+    cache.insert(first, bound_only);
+    std::optional<CachedEval> got = cache.lookup(first);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_FALSE(got->pruned);
+    EXPECT_EQ(got->cycles, 100.0);
+
+    // The other order: the full verdict replaces the bound.
+    const std::vector<int64_t> second{4};
+    cache.insert(second, bound_only);
+    cache.insert(second, full);
+    got = cache.lookup(second);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_FALSE(got->pruned);
+    EXPECT_TRUE(got->valid);
+
+    // The refused insert left the byte accounting exact.
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.bytes(), EvalCache::entryBytes(first, full) +
+                                 EvalCache::entryBytes(second, full));
+}
+
+TEST(BoundMemo, ResultReadersSkipBoundOnlyEntries)
+{
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const LowerBoundEvaluator lbe(model);
+    CachedEval bound_only;
+    bound_only.pruned = true;
+    bound_only.boundCycles = std::numeric_limits<double>::infinity();
+
+    {
+        // The no-factor path needs the base's cycles: a bound-only
+        // entry is a miss there, and the full verdict replaces it.
+        SCOPED_TRACE("no-factor path");
+        const MappingSpace fixed({}, [&](const std::vector<int64_t>&) {
+            return buildAttentionDataflow(w, edge,
+                                          AttentionDataflow::TileFlowDF);
+        });
+        EvalCache cache;
+        cache.insert(fixed.defaultChoices(), bound_only);
+        Rng rng(1);
+        MctsTuner tuner(model, fixed, rng);
+        tuner.setCache(&cache);
+        tuner.setBoundPrune(&lbe, 1e-9);
+        const MctsResult r = tuner.tune(fixed.defaultChoices(), 10);
+        ASSERT_TRUE(r.found);
+        EXPECT_EQ(r.evaluations, 1);
+        EXPECT_EQ(r.cacheHits, 0u);
+        EXPECT_EQ(r.cacheMisses, 1u);
+        EXPECT_FALSE(cache.lookup(fixed.defaultChoices())->pruned);
+    }
+    {
+        // Checkpoints persist verdicts only.
+        SCOPED_TRACE("ckptWriteCache");
+        EvalCache cache;
+        cache.insert({1, 2}, {true, 512.0, false, ""});
+        cache.insert({3}, bound_only);
+        const std::string path =
+            testing::TempDir() + "bound_memo_cache.ckpt";
+        CkptWriter writer("test", 1);
+        ckptWriteCache(writer, cache);
+        ASSERT_TRUE(writer.writeTo(path));
+        std::optional<CkptReader> reader = CkptReader::open(path, "test", 1);
+        ASSERT_TRUE(reader.has_value());
+        EvalCache back;
+        ASSERT_TRUE(ckptReadCache(*reader, back));
+        EXPECT_EQ(back.size(), 1u);
+        EXPECT_FALSE(back.lookup({3}).has_value());
+        ASSERT_TRUE(back.lookup({1, 2}).has_value());
+        EXPECT_EQ(back.lookup({1, 2})->cycles, 512.0);
+        std::remove(path.c_str());
+    }
+}
+
+TEST(BoundMemo, ResumeWithoutTheMemoReproducesTheSearch)
+{
+    // A checkpoint drops the bound-only entries. Kill the runs after
+    // many prunes have been memoized (every checkpoint write after the
+    // first `kept` fails, as if the process died there), then resume:
+    // the resumed run bounds those candidates again, reaches the same
+    // verdicts and so the same search.
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace tiling = makeAttentionTilingSpace(w, edge);
+    const MappingSpace space = makeAttentionSpace(w, edge);
+
+    auto expect_same_search = [](const MapperResult& r,
+                                 const MapperResult& reference) {
+        EXPECT_TRUE(r.resumed);
+        ASSERT_TRUE(r.found);
+        EXPECT_EQ(r.bestCycles, reference.bestCycles);
+        EXPECT_EQ(r.bestChoices, reference.bestChoices);
+        ASSERT_EQ(r.trace.size(), reference.trace.size());
+        for (size_t i = 0; i < r.trace.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(r.trace[i]),
+                      std::bit_cast<uint64_t>(reference.trace[i]))
+                << "trace index " << i;
+        }
+        EXPECT_EQ(r.evaluations, reference.evaluations);
+        // The lost memo shows only as repeated bounds.
+        EXPECT_GT(r.boundPruned, reference.boundPruned);
+    };
+
+    {
+        SCOPED_TRACE("exploreTiling");
+        MapperConfig cfg;
+        cfg.threads = 1;
+        cfg.checkpointEveryBatches = 1;
+        const MapperResult reference =
+            exploreTiling(model, tiling, 600, 42u, cfg);
+        ASSERT_TRUE(reference.found);
+
+        const std::string path = testing::TempDir() + "bound_memo_mcts.ckpt";
+        std::remove(path.c_str());
+        MapperConfig run = cfg;
+        run.checkpointPath = path;
+        armCheckpointCrashForTesting(20);
+        exploreTiling(model, tiling, 600, 42u, run);
+        armCheckpointCrashForTesting(-1);
+        expect_same_search(exploreTiling(model, tiling, 600, 42u, run),
+                           reference);
+        std::remove(path.c_str());
+        std::remove((path + ".tmp").c_str());
+    }
+    {
+        SCOPED_TRACE("exploreSpace");
+        MapperConfig cfg = smallGaConfig();
+        const MapperResult reference = exploreSpace(model, space, cfg);
+        ASSERT_TRUE(reference.found);
+
+        const std::string path = testing::TempDir() + "bound_memo_ga.ckpt";
+        std::remove(path.c_str());
+        MapperConfig run = cfg;
+        run.checkpointPath = path;
+        // The initial population's write and two generations.
+        armCheckpointCrashForTesting(3);
+        exploreSpace(model, space, run);
+        armCheckpointCrashForTesting(-1);
+        expect_same_search(exploreSpace(model, space, run), reference);
+        std::remove(path.c_str());
+        std::remove((path + ".tmp").c_str());
+    }
 }
 
 } // namespace tileflow

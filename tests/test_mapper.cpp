@@ -11,11 +11,13 @@
 #include <cmath>
 
 #include "arch/presets.hpp"
+#include "common/hash.hpp"
 #include "common/telemetry.hpp"
 #include "core/validate.hpp"
 #include "dataflows/attention.hpp"
 #include "dataflows/chain.hpp"
 #include "frontend/loader.hpp"
+#include "ir/builders.hpp"
 #include "ir/shapes.hpp"
 #include "mapper/genetic.hpp"
 #include "mapper/mapper.hpp"
@@ -495,6 +497,106 @@ TEST(Mapper, InvalidStructuresPenalizedNotFatal)
         const MapperResult r = exploreSpace(model, space, cfg);
         (void)r;
     });
+}
+
+
+// -------------------------------------------------------------------
+// Trajectory goldens: the memoized bound never changes the search
+// -------------------------------------------------------------------
+
+/** One recorded search outcome at 1 thread and a fixed seed. */
+struct TrajectoryGolden
+{
+    double bestCycles;
+    std::vector<int64_t> bestChoices;
+    uint64_t traceHash; ///< FNV-1a over the trace's IEEE-754 bits
+    int evaluations;
+};
+
+uint64_t
+traceHash(const std::vector<double>& trace)
+{
+    uint64_t hash = kFnvOffset;
+    for (double t : trace)
+        hash = fnvWord(hash, std::bit_cast<uint64_t>(t));
+    return hash;
+}
+
+void
+expectGolden(const MapperResult& r, const TrajectoryGolden& golden)
+{
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.bestCycles),
+              std::bit_cast<uint64_t>(golden.bestCycles))
+        << r.bestCycles;
+    EXPECT_EQ(r.bestChoices, golden.bestChoices)
+        << testing::PrintToString(r.bestChoices);
+    EXPECT_EQ(traceHash(r.trace), golden.traceHash)
+        << std::hex << traceHash(r.trace);
+    EXPECT_EQ(r.evaluations, golden.evaluations);
+}
+
+MapperConfig
+goldenConfig()
+{
+    // The perfbench search settings (mapper_search defaults), pinned
+    // to one thread so the evaluation count is exact.
+    MapperConfig cfg;
+    cfg.rounds = 12;
+    cfg.population = 8;
+    cfg.tilingSamples = 30;
+    cfg.seed = 1;
+    cfg.threads = 1;
+    return cfg;
+}
+
+// Recorded before the bound memo existed: best cycles, best choices,
+// trace and evaluation count must not move with it, because a
+// memoized prune and a recomputed one reach the same verdict.
+TEST(MapperGolden, TilingSearchTrajectoriesAreUnchanged)
+{
+    const ArchSpec edge = makeEdgeArch();
+    const ArchSpec cloud = makeCloudArch();
+    struct Case
+    {
+        const char* shape;
+        const ArchSpec* arch;
+        TrajectoryGolden golden;
+    };
+    const Case cases[] = {
+        {"Bert-S", &edge, {81920.0, {1, 1, 2, 16}, 0xf773b8fd8c50e725, 8}},
+        {"XLM", &cloud, {40960.0, {1, 1, 2, 16}, 0x0ac75e77f8603725, 8}},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.shape);
+        const Workload w = buildAttention(attentionShape(c.shape), true);
+        const Evaluator model(w, *c.arch);
+        const MappingSpace space = makeAttentionTilingSpace(w, *c.arch);
+        expectGolden(exploreTiling(model, space, 2000, 1u, goldenConfig()),
+                     c.golden);
+    }
+}
+
+TEST(MapperGolden, FullSpaceSearchTrajectoriesAreUnchanged)
+{
+    const ArchSpec edge = makeEdgeArch();
+    {
+        SCOPED_TRACE("Bert-S");
+        const Workload w = buildAttention(attentionShape("Bert-S"), false);
+        const Evaluator model(w, edge);
+        const MappingSpace space = makeAttentionSpace(w, edge);
+        expectGolden(exploreSpace(model, space, goldenConfig()),
+                     {65536.0, {1, 1, 1, 1, 4, 2, 32}, 0x34b429c5a34d57dd,
+                      129});
+    }
+    {
+        SCOPED_TRACE("CC1");
+        const Workload w = buildConvChain(convChainShape("CC1"));
+        const Evaluator model(w, edge);
+        const MappingSpace space = makeConvChainSpace(w, edge);
+        expectGolden(exploreSpace(model, space, goldenConfig()),
+                     {1161216.0, {1, 0, 2, 1, 1}, 0x75a78082ab9a729d, 66});
+    }
 }
 
 } // namespace

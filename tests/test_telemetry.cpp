@@ -541,14 +541,21 @@ TEST_F(MapperTelemetry, ResumedRunReArmsOnlyTheRemainingTimeBudget)
     // Kill a run via its evaluation budget so some wall clock is
     // recorded in the checkpoint. The cap must let at least one full
     // generation finish — a generation cut short is never
-    // checkpointed — so size it off an uninterrupted run.
-    const MapperResult reference = exploreSpace(model, space, cfg);
+    // checkpointed — so size it off an uninterrupted run. Pruning is
+    // off: with it, this small search pays every full evaluation in
+    // generation 0, so no cap can land after a finished generation.
+    MapperConfig base = cfg;
+    base.boundPrune = false;
+    const MapperResult reference = exploreSpace(model, space, base);
     ASSERT_GT(reference.evaluations, 0);
-    MapperConfig killed = cfg;
+    MapperConfig killed = base;
     killed.checkpointPath = path;
     killed.maxEvaluations = reference.evaluations / 2;
     const MapperResult k = exploreSpace(model, space, killed);
     ASSERT_TRUE(k.timedOut);
+    // One trace entry per generation, the cut-short one included.
+    ASSERT_GE(k.trace.size(), 2u)
+        << "the kill must land after a checkpointed generation";
     if (k.elapsedMs < 1) {
         GTEST_SKIP() << "first run finished in under a millisecond; "
                         "no elapsed time to charge";

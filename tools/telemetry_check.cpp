@@ -406,10 +406,11 @@ checkTrace(const JsonValue& root)
     }
 
     // The spans the instrumented search must have emitted. The GA path
-    // nests MCTS, so a mapper_search run contains all of these.
+    // nests MCTS, and bound pruning is on by default, so a
+    // mapper_search run contains all of these.
     for (const char* required :
          {"evaluate", "evaluate.data_movement", "evaluate.latency",
-          "ga.generation", "mcts.batch"}) {
+          "ga.generation", "mcts.batch", "bound"}) {
         check(span_names.count(required) == 1,
               std::string("trace lacks required span '") + required +
                   "'");
