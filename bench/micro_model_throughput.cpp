@@ -107,11 +107,11 @@ BM_MapperTilingRound(benchmark::State& state)
 BENCHMARK(BM_MapperTilingRound);
 
 /**
- * Wall clock of the full Bert-B attention search across worker-thread
- * counts. The result is bit-identical for every thread count (the
- * determinism contract of the evaluation pipeline); only the wall
- * clock should move. Compare the 1-thread and 8-thread rows for the
- * mapper speedup.
+ * Wall clock of the full Bert-B attention search across thread counts.
+ * Compare the 1-thread and 8-thread rows for the mapper speedup. Only
+ * the 1-thread search is reproducible bit for bit; at more threads the
+ * tuners share one cache, so `bestCycles` and `evals` may differ
+ * between rows (DESIGN.md §4.6).
  */
 void
 BM_MapperParallel(benchmark::State& state)

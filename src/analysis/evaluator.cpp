@@ -86,11 +86,7 @@ Evaluator::evaluate(const AnalysisTree& tree) const
 
     if (options_.validate) {
         const TraceSpan phase("evaluate.validate", "analysis");
-        for (const std::string& problem : validateTree(tree, spec_)) {
-            if (!startsWith(problem, "warn:")) {
-                result.problems.push_back(problem);
-            }
-        }
+        result.problems = validationErrors(tree, spec_);
         if (!result.problems.empty()) {
             invalid.add();
             return result;

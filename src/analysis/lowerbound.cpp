@@ -67,15 +67,11 @@ LowerBoundEvaluator::bound(const AnalysisTree& tree) const
     if (!tree.hasRoot())
         return lb;
 
-    if (options_.validate) {
-        for (const std::string& problem : validateTree(tree, spec_)) {
-            // A hard structural problem means the full evaluator
-            // rejects before any analysis; there is nothing sound to
-            // bound (and the analyzers below assume a sane tree).
-            if (!startsWith(problem, "warn:"))
-                return lb;
-        }
-    }
+    // A hard structural problem means the full evaluator rejects
+    // before any analysis; there is nothing sound to bound (and the
+    // analyzers below assume a sane tree).
+    if (options_.validate && !validationErrors(tree, spec_).empty())
+        return lb;
     lb.analyzed = true;
 
     if (capacityRejects(tree, &lb.capacityReason)) {

@@ -1,6 +1,9 @@
 #include "common/threadpool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace tileflow {
@@ -10,14 +13,64 @@ namespace {
 /** Set inside workerLoop so nested submits detect their own pool. */
 thread_local const ThreadPool* tls_current_pool = nullptr;
 
+/** The state one parallelFor() call shares with its helper tasks. */
+struct ForkJoin
+{
+    const std::function<void(size_t)>& fn;
+    const size_t n;
+    std::atomic<size_t> next{0};
+
+    std::mutex mutex;
+    std::condition_variable helperExited;
+    size_t helpersExited = 0; ///< guarded by `mutex`
+    size_t failedIndex = std::numeric_limits<size_t>::max();
+    std::exception_ptr failure; ///< of `failedIndex`; guarded by `mutex`
+
+    ForkJoin(const std::function<void(size_t)>& body, size_t count)
+        : fn(body), n(count)
+    {
+    }
+
+    /** Claim and run indices until none is left; keep the exception
+     *  of the lowest failing index. */
+    void
+    drain()
+    {
+        for (size_t i = next++; i < n; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(mutex);
+                if (i < failedIndex) {
+                    failedIndex = i;
+                    failure = std::current_exception();
+                }
+            }
+        }
+    }
+
+    /** A helper task's body. It notifies under the lock, so the caller
+     *  (which may destroy this object once woken) cannot return before
+     *  the helper is done with it. */
+    void
+    help()
+    {
+        drain();
+        const std::lock_guard<std::mutex> lock(mutex);
+        helpersExited += 1;
+        helperExited.notify_one();
+    }
+};
+
 } // namespace
 
 ThreadPool::ThreadPool(size_t threads)
 {
     if (threads == 0)
         threads = defaultThreadCount();
-    workers_.reserve(threads);
-    for (size_t i = 0; i < threads; ++i)
+    // The thread that calls parallelFor is the last lane.
+    workers_.reserve(threads - 1);
+    for (size_t i = 0; i + 1 < threads; ++i)
         workers_.emplace_back([this]() { workerLoop(); });
 }
 
@@ -93,27 +146,39 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& fn)
 {
     if (n == 0)
         return;
-    if (n == 1 || size() <= 1 || onWorkerThread()) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        futures.push_back(submit([&fn, i]() { fn(i); }));
-    // Join everything before rethrowing so no task outlives the call.
-    std::exception_ptr first;
-    for (std::future<void>& future : futures) {
-        try {
-            future.get();
-        } catch (...) {
-            if (!first)
-                first = std::current_exception();
+    ForkJoin job(fn, n);
+    const size_t helpers = std::min(n - 1, workers_.size());
+    if (helpers > 0) {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            const uint64_t now = telemetryNowNs();
+            for (size_t h = 0; h < helpers; ++h)
+                queue_.push_back(
+                    QueuedTask{[&job]() { job.help(); }, now, &job});
+            queueDepth_.set(double(queue_.size()));
         }
+        for (size_t h = 0; h < helpers; ++h)
+            cv_.notify_one();
     }
-    if (first)
-        std::rethrow_exception(first);
+    job.drain();
+    if (helpers > 0) {
+        // Every index is claimed: take back the helpers no worker has
+        // picked up, then wait for the ones that did.
+        size_t reclaimed = 0;
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            reclaimed = std::erase_if(queue_, [&job](const QueuedTask& t) {
+                return t.owner == &job;
+            });
+            queueDepth_.set(double(queue_.size()));
+        }
+        std::unique_lock<std::mutex> lock(job.mutex);
+        job.helperExited.wait(lock, [&]() {
+            return job.helpersExited == helpers - reclaimed;
+        });
+    }
+    if (job.failure)
+        std::rethrow_exception(job.failure);
 }
 
 } // namespace tileflow

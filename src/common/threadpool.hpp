@@ -1,20 +1,32 @@
 /**
  * @file
- * A small fixed-size thread pool for the mapper's evaluation pipeline.
+ * A small fixed-size fork-join thread pool for the mapper's evaluation
+ * pipeline.
  *
- * Deliberately work-stealing-free: N workers drain one mutex-protected
+ * `ThreadPool(N)` runs N wide: N-1 workers plus the thread that calls
+ * parallelFor(), which claims work like any worker instead of sleeping
+ * until the others finish. `ThreadPool(1)` starts no thread at all and
+ * runs everything on the caller.
+ *
+ * parallelFor() is one fork-join path: the caller and up to
+ * min(n-1, workers) helper tasks claim indices from a shared atomic
+ * counter. Once every index is claimed, the caller takes back the
+ * helpers no worker has picked up and waits (blocking, never
+ * spinning) only for the ones that did, so nothing the call queued
+ * outlives it. The same holds on a worker thread: a worker that fans
+ * out again runs its share itself while idle workers help, and it
+ * never waits on a queued task, so nesting cannot deadlock.
+ *
+ * Deliberately work-stealing-free: the workers drain one mutex-protected
  * FIFO queue. The mapper's units of work (one mapping evaluation each)
  * are coarse enough — tree build plus full analysis — that a shared
- * queue is nowhere near contention-bound, and the simple design keeps
- * task start order deterministic.
+ * queue is nowhere near contention-bound.
  *
- * Nested use is safe: submit() and parallelFor() called from inside a
- * worker of the same pool run the work inline on the calling thread
- * instead of enqueueing, so a task that fans out cannot deadlock
- * waiting for workers that are all blocked on it.
+ * submit() called from inside a worker of the same pool (or on a pool
+ * without workers) runs the task inline and returns a ready future.
  *
- * The worker count defaults to the TILEFLOW_THREADS environment
- * variable, falling back to std::thread::hardware_concurrency().
+ * The width defaults to the TILEFLOW_THREADS environment variable,
+ * falling back to std::thread::hardware_concurrency().
  */
 
 #ifndef TILEFLOW_COMMON_THREADPOOL_HPP
@@ -37,7 +49,8 @@ namespace tileflow {
 class ThreadPool
 {
   public:
-    /** Spawn `threads` workers; 0 means defaultThreadCount(). */
+    /** Run `threads` wide (threads-1 workers plus the caller); 0 means
+     *  defaultThreadCount(). */
     explicit ThreadPool(size_t threads = 0);
 
     /** Joins all workers; pending tasks run to completion first. */
@@ -46,7 +59,8 @@ class ThreadPool
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    size_t size() const { return workers_.size(); }
+    /** Width: the workers plus the calling thread. */
+    size_t size() const { return workers_.size() + 1; }
 
     /** TILEFLOW_THREADS if set (clamped to >= 1), else
      *  hardware_concurrency(), else 1. */
@@ -57,7 +71,8 @@ class ThreadPool
 
     /**
      * Schedule `fn` and return a future for its result. Called from a
-     * worker of this pool, runs inline and returns a ready future.
+     * worker of this pool, or on a pool without workers, runs inline
+     * and returns a ready future.
      */
     template <typename F>
     auto
@@ -67,7 +82,7 @@ class ThreadPool
         auto task =
             std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
         std::future<R> future = task->get_future();
-        if (onWorkerThread()) {
+        if (workers_.empty() || onWorkerThread()) {
             inlineTasks_.add();
             (*task)();
             return future;
@@ -77,19 +92,22 @@ class ThreadPool
     }
 
     /**
-     * Run fn(0..n-1), blocking until all complete. Iterations run
-     * concurrently across the workers; exceptions propagate to the
-     * caller (the first thrown by iteration order). Runs serially when
-     * the pool has a single worker or the caller is a worker.
+     * Run fn(0..n-1), blocking until all complete. The caller claims
+     * indices alongside idle workers (see the file comment), on a
+     * worker thread too. Every index runs; if any throw, the exception
+     * of the lowest throwing index is rethrown after all have run.
      */
     void parallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   private:
-    /** A queued task and the time it entered the queue (telemetry). */
+    /** A queued task, the time it entered the queue (telemetry), and
+     *  the parallelFor call it helps, if any (so that call can take it
+     *  back). */
     struct QueuedTask
     {
         std::function<void()> fn;
         uint64_t enqueuedNs;
+        const void* owner = nullptr;
     };
 
     void enqueue(std::function<void()> task);

@@ -170,11 +170,10 @@ checkFusionGranularity(const AnalysisTree& tree, DiagnosticEngine& diags)
     }
 }
 
-} // namespace
-
+/** Every check; the advisory V305 pass only when `advisory`. */
 bool
-validateTreeDiag(const AnalysisTree& tree, DiagnosticEngine& diags,
-                 const ArchSpec* spec)
+runChecks(const AnalysisTree& tree, DiagnosticEngine& diags,
+          const ArchSpec* spec, bool advisory)
 {
     const size_t before = diags.errorCount();
     if (!tree.hasRoot()) {
@@ -189,9 +188,31 @@ validateTreeDiag(const AnalysisTree& tree, DiagnosticEngine& diags,
     if (diags.errorCount() == before) {
         checkCoverage(tree, diags);
         checkOpMultiplicity(tree, diags);
-        checkFusionGranularity(tree, diags);
+        if (advisory)
+            checkFusionGranularity(tree, diags);
     }
     return diags.errorCount() == before;
+}
+
+} // namespace
+
+bool
+validateTreeDiag(const AnalysisTree& tree, DiagnosticEngine& diags,
+                 const ArchSpec* spec)
+{
+    return runChecks(tree, diags, spec, /*advisory=*/true);
+}
+
+std::vector<std::string>
+validationErrors(const AnalysisTree& tree, const ArchSpec* spec)
+{
+    DiagnosticEngine diags(/*max_diagnostics=*/4096);
+    runChecks(tree, diags, spec, /*advisory=*/false);
+    std::vector<std::string> errors;
+    errors.reserve(diags.diagnostics().size());
+    for (const Diagnostic& diag : diags.diagnostics())
+        errors.push_back(diag.message);
+    return errors;
 }
 
 std::vector<std::string>

@@ -54,6 +54,14 @@ bool validateTreeDiag(const AnalysisTree& tree, DiagnosticEngine& diags,
 std::vector<std::string> validateTree(const AnalysisTree& tree,
                                       const ArchSpec* spec = nullptr);
 
+/**
+ * The hard errors of validateTree(): the same messages in the same
+ * order, without its "warn: " entries. For hot paths that need only a
+ * verdict: the advisory V305 pass is skipped, so no warning is built.
+ */
+std::vector<std::string> validationErrors(const AnalysisTree& tree,
+                                          const ArchSpec* spec = nullptr);
+
 /** Convenience: run validateTreeDiag and fatal() with *all* hard
  *  errors aggregated into one message (warnings are not fatal). */
 void checkTree(const AnalysisTree& tree, const ArchSpec* spec = nullptr);

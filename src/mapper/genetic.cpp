@@ -125,7 +125,7 @@ GeneticMapper::run()
     };
 
     // Cheap offspring screen: ONE tree build serves both checks —
-    // structural validateTree and the lower-bound capacity screen
+    // structural validation and the lower-bound capacity screen
     // (which rejects only trees the full evaluator would reject for
     // a buffer overflow; see analysis/lowerbound.hpp). No
     // data-movement / latency analysis is paid. A throwing builder
@@ -135,12 +135,8 @@ GeneticMapper::run()
     auto passes_prescreen = [&](const std::vector<int64_t>& choices) {
         try {
             const AnalysisTree tree = space_->build(choices);
-            for (const std::string& problem :
-                 validateTree(tree, &evaluator_->spec())) {
-                if (!startsWith(problem, "warn:"))
-                    return false;
-            }
-            return !lower_bound.capacityRejects(tree);
+            return validationErrors(tree, &evaluator_->spec()).empty() &&
+                   !lower_bound.capacityRejects(tree);
         } catch (const std::exception&) {
             return false;
         }
@@ -152,6 +148,7 @@ GeneticMapper::run()
         Rng ind_rng(mixSeed(config_.seed, uint64_t(gen),
                             uint64_t(index)));
         MctsTuner tuner(*evaluator_, *space_, ind_rng);
+        tuner.setPool(pool);
         tuner.setCache(cache);
         tuner.setBatch(config_.mctsBatch);
         tuner.setStop(&stop, &global_evals);
@@ -305,8 +302,10 @@ GeneticMapper::run()
         const ScopedLatency gen_timer(gen_hist);
         gen_counter.add();
 
-        // One worker task per individual; each tuner evaluates its own
-        // rollout batches inline on the worker it landed on.
+        // One pool index per individual. Each tuner also evaluates its
+        // rollout batches on the pool, so workers that run out of
+        // individuals at the tail of a generation help the tuners
+        // still running.
         std::vector<MctsResult> tuned(population.size());
         pool->parallelFor(population.size(), [&](size_t i) {
             tuned[i] = evaluate(population[i], gen, int(i));

@@ -8,13 +8,14 @@
  * The top-K individuals seed the next population through crossover
  * and mutation.
  *
- * Each generation's individuals are evaluated concurrently on a
- * ThreadPool. Every (generation, individual) pair gets its own Rng
- * seeded with mixSeed(seed, generation, index), and selection /
- * crossover stay on the caller's thread, so the search trajectory is
- * bit-identical for a fixed seed regardless of thread count. A shared
- * EvalCache memoizes mapping evaluations across individuals and
- * generations.
+ * Each generation's individuals are tuned concurrently on a
+ * ThreadPool, which every tuner also uses for its rollout batches.
+ * Every (generation, individual) pair gets its own Rng seeded with
+ * mixSeed(seed, generation, index), and selection / crossover stay on
+ * the caller's thread. A shared EvalCache memoizes mapping evaluations
+ * across individuals and generations; because concurrent tuners race
+ * on it, the trajectory is bit-identical for a fixed seed only at one
+ * thread (DESIGN.md §4.6).
  *
  * Fault tolerance: individual fitness evaluation goes through the
  * guarded boundary (mapper/guard.hpp), so a throwing or NaN-poisoned

@@ -3,11 +3,13 @@
  * The TileFlow mapper facade (Sec. 6): genetic algorithm over the
  * ordering/binding space combined with MCTS over tiling tables.
  *
- * Exploration runs on a fixed-size ThreadPool (sized by
- * MapperConfig::threads, defaulting to TILEFLOW_THREADS /
- * hardware_concurrency) with a sharded EvalCache memoizing repeated
- * mapping evaluations. For a fixed seed the result is bit-identical
- * across thread counts; only the wall clock changes.
+ * Exploration runs on a fork-join ThreadPool (MapperConfig::threads
+ * wide, defaulting to TILEFLOW_THREADS / hardware_concurrency) with a
+ * sharded EvalCache memoizing repeated mapping evaluations. For a
+ * fixed seed a 1-thread search is bit-identical, and so is
+ * exploreTiling at any thread count; a multi-threaded exploreSpace is
+ * not yet reproducible, because its concurrent tuners share the cache
+ * (DESIGN.md §4.6).
  *
  * The search is fault-tolerant: candidate evaluations that throw or
  * return non-finite results are recorded as infeasible (see
@@ -48,8 +50,10 @@ struct MapperConfig
      *  search trajectory is too). */
     int mctsBatch = 8;
 
-    /** Evaluation worker threads; 0 = ThreadPool::defaultThreadCount()
-     *  (the TILEFLOW_THREADS environment variable when set). */
+    /** Threads that do search work, the calling thread included (the
+     *  pool starts threads-1 workers); 0 =
+     *  ThreadPool::defaultThreadCount() (the TILEFLOW_THREADS
+     *  environment variable when set). */
     int threads = 0;
 
     uint64_t seed = 0x7ea51eafULL;

@@ -395,7 +395,7 @@ MctsTuner::tune(const std::vector<int64_t>& base, int samples)
                                           sample.choices, prune,
                                           sample.knownBound);
         };
-        if (pool_ && to_evaluate.size() > 1) {
+        if (pool_) {
             pool_->parallelFor(to_evaluate.size(), evaluate_one);
         } else {
             for (size_t i = 0; i < to_evaluate.size(); ++i)

@@ -15,7 +15,8 @@
  * optional ThreadPool, and rewards are backpropagated serially in
  * sample order. Because selection, rollout randomness and backprop
  * never touch the pool, results are bit-identical for a fixed seed
- * regardless of thread count.
+ * regardless of pool size, as long as no concurrent tuner writes to
+ * the same cache.
  *
  * An optional EvalCache memoizes complete mappings, so resampled
  * leaves skip the tree build and analysis; `MctsResult.evaluations`

@@ -468,12 +468,7 @@ makeFuzzCase(uint64_t seed, uint64_t index)
         } catch (const FatalError&) {
             continue; // degenerate draw; retry with the next sub-seed
         }
-        bool hard_error = false;
-        for (const std::string& problem : validateTree(*out.tree)) {
-            hard_error =
-                hard_error || problem.compare(0, 5, "warn:") != 0;
-        }
-        if (hard_error)
+        if (!validationErrors(*out.tree).empty())
             continue;
         if (ConcreteOracle::stepCost(*out.tree) > kMaxStepCost)
             continue;

@@ -1,16 +1,28 @@
 /**
  * @file
- * Tests for common support: strings, logging and the deterministic RNG.
+ * Tests for common support: strings, logging, the deterministic RNG
+ * and the thread pool.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
+#include <future>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "common/telemetry.hpp"
 #include "common/threadpool.hpp"
 
 namespace tileflow {
@@ -155,8 +167,9 @@ TEST(ThreadPool, SubmitReturnsValue)
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
-    // A worker that fans out again must run the inner work inline
-    // rather than wait on peers that may all be blocked the same way.
+    // A worker that fans out again runs its share itself and never
+    // waits on a helper that no worker has picked up, even when every
+    // peer is blocked the same way.
     ThreadPool pool(2);
     std::atomic<int> total{0};
     pool.parallelFor(8, [&](size_t) {
@@ -174,6 +187,131 @@ TEST(ThreadPool, ParallelForPropagatesExceptions)
                                           fatal("boom");
                                   }),
                  FatalError);
+}
+
+TEST(ThreadPool, NestedParallelForSpreadsOverIdleWorkers)
+{
+    // One worker fans out while the other two sit idle. Each item
+    // waits until a second thread has run an item too, so the call
+    // finishes early only if the nested items spread beyond the worker
+    // that made it.
+    ThreadPool pool(4);
+    std::mutex mutex;
+    std::condition_variable joined;
+    std::set<std::thread::id> threads;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    pool.submit([&]() {
+            ASSERT_TRUE(pool.onWorkerThread());
+            pool.parallelFor(8, [&](size_t) {
+                std::unique_lock<std::mutex> lock(mutex);
+                threads.insert(std::this_thread::get_id());
+                joined.notify_all();
+                joined.wait_until(lock, give_up,
+                                  [&]() { return threads.size() >= 2; });
+            });
+        })
+        .get();
+    EXPECT_GE(threads.size(), 2u);
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(ThreadPool, OneWidePoolStartsNoThreadAndRunsOnTheCaller)
+{
+    // Linux lists a process's threads under /proc/self/task.
+    const auto thread_count = []() {
+        size_t n = 0;
+        std::error_code ec;
+        for (std::filesystem::directory_iterator it("/proc/self/task", ec),
+             end;
+             !ec && it != end; it.increment(ec))
+            n += 1;
+        return n;
+    };
+    const size_t before = thread_count();
+    ThreadPool pool(1);
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(thread_count(), before);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::set<std::thread::id> threads;
+    pool.parallelFor(16, [&](size_t) {
+        threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(threads, std::set<std::thread::id>{caller});
+
+    std::future<std::thread::id> ran_on =
+        pool.submit([]() { return std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(ran_on.get(), caller);
+}
+
+TEST(ThreadPool, ParallelForRunsEveryIndexAndRethrowsTheLowestFailure)
+{
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> counts(200);
+    try {
+        pool.parallelFor(counts.size(), [&](size_t i) {
+            counts[i].fetch_add(1);
+            if (i == 37) {
+                // Thrown last in time: the higher indices fail first.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                throw std::runtime_error("37");
+            }
+            if (i == 90 || i == 150)
+                throw std::runtime_error(std::to_string(i));
+        });
+        FAIL() << "parallelFor swallowed the exceptions";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "37");
+    }
+    for (const auto& c : counts)
+        EXPECT_EQ(c.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForTakesBackHelpersNoWorkerPickedUp)
+{
+    // Both workers are blocked, so the helper tasks parallelFor queues
+    // cannot start: the caller runs every index and must take the
+    // helpers back out of the queue before it returns.
+    ThreadPool pool(3);
+    std::mutex mutex;
+    std::condition_variable cv;
+    int blocked = 0;
+    bool release = false;
+    std::vector<std::future<void>> blockers;
+    for (int w = 0; w < 2; ++w) {
+        blockers.push_back(pool.submit([&]() {
+            std::unique_lock<std::mutex> lock(mutex);
+            blocked += 1;
+            cv.notify_all();
+            cv.wait(lock, [&]() { return release; });
+        }));
+    }
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&]() { return blocked == 2; });
+    }
+
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    const uint64_t tasks_before = metrics.counterValue("threadpool.tasks");
+    std::set<std::thread::id> threads;
+    pool.parallelFor(8, [&](size_t) {
+        threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(metrics.gaugeValue("threadpool.queue_depth"), 0.0);
+    EXPECT_EQ(metrics.counterValue("threadpool.tasks"), tasks_before);
+    EXPECT_EQ(threads,
+              std::set<std::thread::id>{std::this_thread::get_id()});
+
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        release = true;
+    }
+    cv.notify_all();
+    for (std::future<void>& blocker : blockers)
+        blocker.get();
 }
 
 TEST(ThreadPool, DefaultThreadCountHonorsEnvVar)

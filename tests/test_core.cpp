@@ -7,11 +7,17 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/mapping.hpp"
 #include "core/notation.hpp"
 #include "core/validate.hpp"
 #include "arch/presets.hpp"
+#include "dataflows/attention.hpp"
+#include "dataflows/convchain.hpp"
 #include "ir/builders.hpp"
+#include "ir/shapes.hpp"
+#include "mapper/encoding.hpp"
 
 namespace tileflow {
 namespace {
@@ -290,6 +296,78 @@ TEST(Validate, ArchBoundsLevelIndices)
         }
     )");
     EXPECT_FALSE(validateTree(tree, &spec).empty());
+}
+
+TEST(Validate, HotPathErrorsAreTheHardPartOfValidateTree)
+{
+    // validationErrors() is what the evaluator, the lower bound and the
+    // GA prescreen read: validateTree() without its "warn:" entries,
+    // message for message. Checked on sampled tiling-search trees
+    // (expanded softmax, as the tiling search runs), the canned
+    // dataflows and hand-broken trees.
+    size_t warned = 0;
+    size_t rejected = 0;
+    const auto expect_hard_part = [&](const AnalysisTree& tree,
+                                      const ArchSpec* spec) {
+        std::vector<std::string> hard;
+        const std::vector<std::string> all = validateTree(tree, spec);
+        for (const std::string& problem : all) {
+            if (!startsWith(problem, "warn:"))
+                hard.push_back(problem);
+        }
+        warned += all.size() > hard.size() ? 1 : 0;
+        rejected += hard.empty() ? 0 : 1;
+        EXPECT_EQ(validationErrors(tree, spec), hard);
+    };
+
+    const std::vector<ArchSpec> archs{makeEdgeArch(), makeCloudArch()};
+    Rng rng(7);
+    for (const ArchSpec& arch : archs) {
+        for (const AttentionShape& shape : attentionShapes()) {
+            const Workload w = buildAttention(shape, true);
+            SCOPED_TRACE(w.name() + "/" + arch.name());
+            for (AttentionDataflow df : mainAttentionDataflows())
+                expect_hard_part(buildAttentionDataflow(w, arch, df), &arch);
+            const MappingSpace space = makeAttentionTilingSpace(w, arch);
+            for (int sample = 0; sample < 20; ++sample) {
+                std::vector<int64_t> choices = space.defaultChoices();
+                for (size_t k = 0; k < choices.size(); ++k)
+                    choices[k] = rng.choice(space.knobs()[k].choices);
+                expect_hard_part(space.build(choices), &arch);
+            }
+        }
+    }
+    for (const ConvChainShape& shape : convChainShapes()) {
+        const Workload w = buildConvChain(shape);
+        for (ConvChainDataflow df : mainConvChainDataflows())
+            expect_hard_part(buildConvChainDataflow(w, archs[1], df),
+                             &archs[1]);
+    }
+
+    // Hard errors next to an advisory warning: dim k under-covered in
+    // a tile that fuses the producer's reduction.
+    const Workload me = buildMatmulExp("me", 64, 64, 64);
+    expect_hard_part(parseNotation(me, R"(
+        tile @L2 [i:t4, j:t4, k:t2] {
+          shar {
+            tile @L0 [i:s16, j:s16, k:t16] { op matmul }
+            tile @L0 [i:s16, j:t16]        { op exp }
+          }
+        }
+    )"),
+                     nullptr);
+    const Workload mm = buildMatmul("mm", 16, 16, 16);
+    const ArchSpec spec = makeValidationArch();
+    expect_hard_part(parseNotation(mm, R"(
+        tile @L7 [] {
+          tile @L0 [i:s16, j:s16, k:t16] { op matmul }
+        }
+    )"),
+                     &spec);
+
+    // The comparison covered both kinds of entry.
+    EXPECT_GT(warned, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace

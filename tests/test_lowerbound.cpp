@@ -220,8 +220,9 @@ TEST(LowerBound, ScreenNeverFiresWhenMemoryUnenforced)
         const Evaluator full(*fc.workload, starved, no_memory);
         const EvalResult r = full.evaluate(*fc.tree);
         const LowerBound lb = lbe.bound(*fc.tree);
-        if (r.valid && lb.analyzed)
+        if (r.valid && lb.analyzed) {
             EXPECT_LE(lb.cycles, r.cycles) << fc.summary;
+        }
     }
 }
 
@@ -427,6 +428,46 @@ TEST(LowerBound, MctsKillResumeWithPruningIsBitIdentical)
     EXPECT_EQ(r.boundPruned, reference.boundPruned);
     EXPECT_EQ(r.failureHistogram, reference.failureHistogram);
     std::remove(path.c_str());
+
+    // The budget above trips after the first batch, which holds every
+    // full evaluation of this search and no prune yet. Now kill the
+    // run later, after prunes have been memoized: every checkpoint
+    // write after the first kKilledAfter batches fails, as if the
+    // process died there.
+    constexpr size_t kKilledAfter = 4;
+    armCheckpointCrashForTesting(int(kKilledAfter));
+    exploreTiling(model, space, 300, 42u, resume);
+    armCheckpointCrashForTesting(-1);
+    // What the dead run left behind: a resume whose evaluation budget
+    // is already spent stops at its first batch boundary and reports
+    // the checkpointed state.
+    MapperConfig peek = resume;
+    peek.maxEvaluations = 1;
+    const MapperResult dead = exploreTiling(model, space, 300, 42u, peek);
+    ASSERT_TRUE(dead.resumed);
+    ASSERT_TRUE(dead.timedOut);
+    ASSERT_EQ(dead.trace.size(), kKilledAfter * size_t(cfg.mctsBatch));
+    ASSERT_GT(dead.boundPruned, 0u) << "the kill must come after a prune";
+
+    const MapperResult late = exploreTiling(model, space, 300, 42u, resume);
+    EXPECT_TRUE(late.resumed);
+    ASSERT_TRUE(late.found);
+    EXPECT_EQ(late.bestCycles, reference.bestCycles);
+    EXPECT_EQ(late.bestChoices, reference.bestChoices);
+    ASSERT_EQ(late.trace.size(), reference.trace.size());
+    for (size_t i = 0; i < late.trace.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(late.trace[i]),
+                  std::bit_cast<uint64_t>(reference.trace[i]))
+            << "trace index " << i;
+    }
+    EXPECT_EQ(late.evaluations, reference.evaluations);
+    EXPECT_EQ(late.failureHistogram, reference.failureHistogram);
+    // A checkpoint keeps verdicts, not memoized prunes (DESIGN §13):
+    // the resume bounds again each pre-kill prune it redraws, once.
+    EXPECT_GE(late.boundPruned, reference.boundPruned);
+    EXPECT_LE(late.boundPruned, reference.boundPruned + dead.boundPruned);
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
 }
 
 TEST(LowerBound, GaKillResumeWithPruningIsBitIdentical)

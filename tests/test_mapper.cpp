@@ -289,6 +289,48 @@ TEST(Mapper, BitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(Mapper, ThreadedExploreSpaceLendsThePoolToItsTuners)
+{
+    // Fewer individuals than threads, so the workers left without an
+    // individual help the tuners evaluate their rollout batches. More
+    // than one thread does not reproduce a 1-thread run bit for bit
+    // (the tuners share the cache), but the answer and the accounting
+    // must stay consistent, and the pool must end drained.
+    const Workload w = buildAttention(attentionShape("Bert-S"), false);
+    const ArchSpec edge = makeEdgeArch();
+    const Evaluator model(w, edge);
+    const MappingSpace space = makeAttentionSpace(w, edge);
+    MapperConfig cfg;
+    cfg.rounds = 3;
+    cfg.population = 3;
+    cfg.tilingSamples = 40;
+    cfg.seed = 1234;
+    cfg.threads = 4;
+
+    const MetricsRegistry& metrics = MetricsRegistry::global();
+    const uint64_t candidates0 = metrics.counterValue("mapper.candidates");
+    const uint64_t evaluations0 = metrics.counterValue("mapper.evaluations");
+    const uint64_t pruned0 = metrics.counterValue("mapper.bound_pruned");
+    const MapperResult r = exploreSpace(model, space, cfg);
+
+    ASSERT_TRUE(r.found);
+    const EvalResult best = model.evaluate(r.bestTree);
+    ASSERT_TRUE(best.valid);
+    EXPECT_EQ(best.cycles, r.bestCycles);
+    ASSERT_EQ(r.trace.size(), size_t(cfg.rounds));
+    for (size_t i = 1; i < r.trace.size(); ++i)
+        EXPECT_LE(r.trace[i], r.trace[i - 1]) << "generation " << i;
+    EXPECT_EQ(r.trace.back(), r.bestCycles);
+
+    EXPECT_EQ(metrics.counterValue("mapper.evaluations") - evaluations0,
+              uint64_t(r.evaluations));
+    EXPECT_EQ(metrics.counterValue("mapper.bound_pruned") - pruned0,
+              r.boundPruned);
+    EXPECT_EQ(metrics.counterValue("mapper.candidates") - candidates0,
+              uint64_t(r.evaluations) + r.boundPruned);
+    EXPECT_EQ(metrics.gaugeValue("threadpool.queue_depth"), 0.0);
+}
+
 TEST(Mapper, IncrementalSettingLeavesSearchUnchanged)
 {
     // MapperConfig::incremental only attaches a SubtreeCache to the

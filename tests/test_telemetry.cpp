@@ -496,16 +496,25 @@ TEST_F(MapperTelemetry, RegistryDeltasMatchMapperResult)
 TEST_F(MapperTelemetry, RegistryDeltasMatchAcrossKillAndResume)
 {
     MetricsRegistry& reg = MetricsRegistry::global();
-    const MapperResult reference = exploreSpace(model, space, cfg);
+    // Pruning is off so the full evaluations spread over the
+    // generations (with it, this small search pays all of them in
+    // generation 0) and the budget below lands after a checkpointed
+    // generation: the resume then restores real pre-kill work.
+    MapperConfig base = cfg;
+    base.boundPrune = false;
+    const MapperResult reference = exploreSpace(model, space, base);
     ASSERT_TRUE(reference.found);
     ASSERT_GT(reference.evaluations, 0);
 
     const std::string path = ckptPath("telemetry_resume.ckpt");
-    MapperConfig killed = cfg;
+    MapperConfig killed = base;
     killed.checkpointPath = path;
     killed.maxEvaluations = reference.evaluations / 2;
     const MapperResult k = exploreSpace(model, space, killed);
     ASSERT_TRUE(k.timedOut);
+    // One trace entry per generation, the cut-short one included.
+    ASSERT_GE(k.trace.size(), 2u)
+        << "the kill must land after a checkpointed generation";
 
     // The resumed run credits the restored (pre-kill) portion into
     // the registry, so the *resume's own delta* equals its
@@ -515,7 +524,7 @@ TEST_F(MapperTelemetry, RegistryDeltasMatchAcrossKillAndResume)
     const uint64_t hits_before = reg.counterValue("evalcache.hits");
     const uint64_t misses_before = reg.counterValue("evalcache.misses");
 
-    MapperConfig resume = cfg;
+    MapperConfig resume = base;
     resume.checkpointPath = path;
     const MapperResult r = exploreSpace(model, space, resume);
     ASSERT_TRUE(r.resumed);
@@ -529,7 +538,8 @@ TEST_F(MapperTelemetry, RegistryDeltasMatchAcrossKillAndResume)
               r.cacheMisses);
 
     // Checkpoint-aware wall clock: the resume includes the killed
-    // run's elapsed time, so it can never report less.
+    // run's elapsed time up to its checkpoint and then redoes all the
+    // work the killed run did after it, so it never reports less.
     EXPECT_GE(r.elapsedMs, k.elapsedMs);
     std::remove(path.c_str());
 }
